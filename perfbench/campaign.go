@@ -27,8 +27,8 @@ import (
 // campaignsPerPass is how many campaigns one pass submits, one after
 // another, each with its own base seed derived from the benchmark seed.
 // A campaign's first result is one run's latency, which varies by about
-// 15% with that run's random flows; a pass averages it over four.
-const campaignsPerPass = 4
+// 15% with that run's random flows; a pass averages it over six.
+const campaignsPerPass = 6
 
 // campaignSpecs are the pass's campaigns: the bursty preset (Basic and
 // PCMAC x cbr, poisson, onoff, pareto x 300 and 500 kbps x 2 reps: 32

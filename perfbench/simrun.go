@@ -206,7 +206,7 @@ func simUntraced(b *bench, root int) error {
 
 // minSetupSamples is the fewest set-up timings setup_s takes its median
 // over; passes short of it are topped up with set-ups alone.
-const minSetupSamples = 15
+const minSetupSamples = 45
 
 // simTraced alternates untraced and traced passes and reports the
 // per-layer metrics.

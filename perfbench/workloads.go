@@ -56,15 +56,15 @@ var workloads = map[string]workload{
 		digest:    simDigestOnce,
 	},
 	"scale500-mobile": {
-		horizonS:  3,
-		minReps:   3,
+		horizonS:  4,
+		minReps:   2,
 		scenarios: scenarioSet("scale500-mobile", 4, scale500),
 		untraced:  simUntraced,
 		traced:    simTraced,
 		digest:    simDigestOnce,
 	},
 	"campaign-bursty": {
-		horizonS: 5,
+		horizonS: 3,
 		minReps:  2,
 		untraced: campaignUntraced,
 		traced:   campaignTraced,
@@ -91,9 +91,13 @@ func scale500(seed int64, h float64) scenario.Options {
 		Flows:           100,
 		OfferedLoadKbps: 250,
 		Duration:        sim.DurationOf(h),
-		// Traffic starts at 1 s; a warmup of two thirds of the short
-		// horizon covers the route-discovery floods that follow.
-		Warmup: sim.DurationOf(2 * h / 3),
+		// Traffic starts at 1 s and the route-discovery floods that
+		// follow last about two seconds at this size; while they last a
+		// second delivers only a handful of packets, sometimes none. A
+		// warmup of half the horizon puts the last flood second and one
+		// steady second in the measurement window, which then always
+		// delivers packets.
+		Warmup: sim.DurationOf(h / 2),
 		Seed:   seed,
 	}
 }
