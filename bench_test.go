@@ -95,8 +95,8 @@ func BenchmarkFig6Scheme1(b *testing.B) {
 }
 
 // fig8Loads is the offered-load axis for the headline sweep. The paper
-// sweeps 300-1000 kbps on ns-2; our substrate saturates earlier (see
-// EXPERIMENTS.md), so the interesting region sits at 300-500 kbps.
+// sweeps 300-1000 kbps on ns-2; this substrate saturates earlier than
+// ns-2, so the interesting region sits at 300-500 kbps.
 var fig8Loads = []float64{300, 400, 500}
 
 // BenchmarkFig8Throughput regenerates Figure 8: aggregate network

@@ -42,7 +42,6 @@ func main() {
 		shadowing  = flag.Float64("shadowing", 0, "log-normal shadowing sigma in dB (0 = two-ray ground)")
 		battery    = flag.Float64("battery", 0, "per-node battery capacity in joules (0 = mains-powered, no deaths)")
 		noGrid     = flag.Bool("no-grid", false, "disable the spatial neighbor index (linear link-row builds; identical results, for perf A/Bs)")
-		queue      = flag.String("queue", "", "scheduler event queue: calendar|heap (identical results; default calendar)")
 		eprofile   = flag.String("energy-profile", "", "radio draw profile: wavelan|sensor (default wavelan)")
 		configPath = flag.String("config", "", "load the scenario from a JSON file (other flags ignored)")
 		tracePath  = flag.String("trace", "", "write an ns-2-style MAC event trace to this file")
@@ -93,9 +92,6 @@ func main() {
 	}
 	if *timeline > 0 {
 		opts.TimelineBucket = sim.DurationOf(*timeline)
-	}
-	if *queue != "" {
-		opts.EventQueue = *queue
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)

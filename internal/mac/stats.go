@@ -20,7 +20,7 @@ type Stats struct {
 	CTSTimeout, ACKTimeout, DataTimeout uint64
 	Retries                             uint64
 	// Drops: retry-limit exceeded (reported to routing as link
-	// failures) and interface-queue overflow.
+	// failures) and interface queue overflow.
 	DropRetry, DropQueue uint64
 	// ImplicitRetx counts PCMAC retransmissions triggered by a CTS
 	// whose (session, seq) echo did not match the sent-table.

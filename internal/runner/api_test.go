@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -158,6 +159,8 @@ func TestParseCampaignFileStrict(t *testing.T) {
 		name, in, wantSub string
 	}{
 		{"unknown field", `{"name": "x", "loads_kpbs": [40]}`, "loads_kpbs"},
+		{"event queue axis", `{"name": "x", "event_queues": ["heap"]}`, `unknown field "event_queues"`},
+		{"base regions", `{"name": "x", "base": {"regions": 4}}`, `unknown field "regions"`},
 		{"future version", `{"version": 99, "name": "x"}`, "version 99"},
 		{"trailing data", `{"name": "x"} {"name": "y"}`, "trailing"},
 		{"not json", `schemes: [basic]`, "campaign spec"},
@@ -172,6 +175,38 @@ func TestParseCampaignFileStrict(t *testing.T) {
 				t.Fatalf("error %q does not name the problem (%q)", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestDocsExampleSpecParses keeps the example spec in docs/api.md in step
+// with the strict parser: it must decode, convert and expand.
+func TestDocsExampleSpecParses(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "## Campaign spec schema")
+	if !ok {
+		t.Fatal("docs/api.md has no campaign spec schema section")
+	}
+	_, rest, ok = strings.Cut(rest, "```json\n")
+	if !ok {
+		t.Fatal("campaign spec schema section has no json example")
+	}
+	example, _, ok := strings.Cut(rest, "```")
+	if !ok {
+		t.Fatal("unterminated json example")
+	}
+	cf, err := ParseCampaignFile([]byte(example))
+	if err != nil {
+		t.Fatalf("docs example spec: %v", err)
+	}
+	c, err := cf.Campaign()
+	if err != nil {
+		t.Fatalf("docs example spec: %v", err)
+	}
+	if _, err := c.Runs(); err != nil {
+		t.Fatalf("docs example spec: %v", err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // DefaultLoads is the offered-load axis the paper's Figure 8/9 sweep
-// uses on this substrate (see EXPERIMENTS.md: it saturates earlier than
-// ns-2, so the interesting region sits below the paper's 1000 kbps).
+// uses on this substrate. This substrate saturates earlier than ns-2, so
+// the interesting region sits below the paper's 1000 kbps.
 func DefaultLoads() []float64 {
 	return []float64{200, 250, 300, 350, 400, 450, 500, 550}
 }

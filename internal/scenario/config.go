@@ -50,8 +50,6 @@ type FileConfig struct {
 	DisableCtrlChannel bool         `json:"disable_ctrl_channel,omitempty"`
 	DisableThreeWay    bool         `json:"disable_three_way,omitempty"`
 	ShadowingSigmaDB   float64      `json:"shadowing_sigma_db,omitempty"`
-	EventQueue         string       `json:"event_queue,omitempty"`
-	Regions            int          `json:"regions,omitempty"`
 	EnergyProfile      string       `json:"energy_profile,omitempty"`
 	BatteryJ           float64      `json:"battery_j,omitempty"`
 	FlowRateSpreadPct  float64      `json:"flow_rate_spread_pct,omitempty"`
@@ -91,8 +89,6 @@ func (fc FileConfig) Options() (Options, error) {
 		DisableCtrlChannel: fc.DisableCtrlChannel,
 		DisableThreeWay:    fc.DisableThreeWay,
 		ShadowingSigmaDB:   fc.ShadowingSigmaDB,
-		EventQueue:         fc.EventQueue,
-		Regions:            fc.Regions,
 		EnergyProfile:      fc.EnergyProfile,
 		BatteryJ:           fc.BatteryJ,
 		FlowRateSpreadPct:  fc.FlowRateSpreadPct,
@@ -112,11 +108,6 @@ func (fc FileConfig) Options() (Options, error) {
 	}
 	return o, nil
 }
-
-// MaxRegions caps Options.Regions: beyond the core counts of plausible
-// hardware the per-window barrier costs strictly more than the shards
-// can recover, so a larger request is a configuration mistake.
-const MaxRegions = 64
 
 // Validate rejects configurations that would only fail (or silently
 // run with an empty measurement window) deep inside a run. Zero fields
@@ -147,17 +138,12 @@ func validate(o Options) error {
 		return fmt.Errorf("scenario: negative response bytes")
 	case o.BatteryJ < 0:
 		return fmt.Errorf("scenario: negative battery capacity %g J", o.BatteryJ)
-	case o.Regions < 0 || o.Regions > MaxRegions:
-		return fmt.Errorf("scenario: regions %d out of range 0..%d", o.Regions, MaxRegions)
 	}
 	if _, err := traffic.ParseModel(o.Traffic); err != nil {
 		return err
 	}
 	if _, err := energy.ParseProfile(o.EnergyProfile); err != nil {
 		return err
-	}
-	if _, err := sim.ParseQueueKind(o.EventQueue); err != nil {
-		return fmt.Errorf("scenario: %w", err)
 	}
 	if err := CheckTopology(o.Topology); err != nil {
 		return err
@@ -231,8 +217,6 @@ func ToFileConfig(o Options) FileConfig {
 		DisableCtrlChannel: o.DisableCtrlChannel,
 		DisableThreeWay:    o.DisableThreeWay,
 		ShadowingSigmaDB:   o.ShadowingSigmaDB,
-		EventQueue:         o.EventQueue,
-		Regions:            o.Regions,
 		EnergyProfile:      o.EnergyProfile,
 		BatteryJ:           o.BatteryJ,
 		FlowRateSpreadPct:  o.FlowRateSpreadPct,

@@ -2,43 +2,8 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/bits"
 )
-
-// QueueKind selects the pending-event-set implementation behind a
-// Scheduler. Both kinds realise the same total order, so a run's event
-// trace (and therefore its JSONL output) is byte-identical whichever
-// kind executes it; they differ only in asymptotics and memory layout.
-type QueueKind string
-
-const (
-	// QueueCalendar is the default: a calendar queue with bucket-local,
-	// value-dense event storage. Amortised O(1) push/pop, built for the
-	// 1000-node runs where the binary heap's O(log n) pointer-chasing
-	// sift chains dominate the profile.
-	QueueCalendar QueueKind = "calendar"
-
-	// QueueHeap is the original container/heap binary heap, kept as the
-	// reference implementation for A/B determinism proofs.
-	QueueHeap QueueKind = "heap"
-)
-
-// QueueKinds lists the accepted kinds, default first.
-func QueueKinds() []QueueKind { return []QueueKind{QueueCalendar, QueueHeap} }
-
-// ParseQueueKind maps a config/flag string to a QueueKind. The empty
-// string selects the default (calendar); anything else must name a
-// known kind.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch QueueKind(s) {
-	case "", QueueCalendar:
-		return QueueCalendar, nil
-	case QueueHeap:
-		return QueueHeap, nil
-	}
-	return "", fmt.Errorf("unknown event queue %q (want %q or %q)", s, QueueCalendar, QueueHeap)
-}
 
 // eventQueue is the scheduler's pending-event set. The contract every
 // implementation must honour:
@@ -68,17 +33,10 @@ type eventQueue interface {
 	len() int
 }
 
-// newEventQueue builds the pending set for a kind. Callers pass a kind
-// that already went through ParseQueueKind.
-func newEventQueue(kind QueueKind) eventQueue {
-	if kind == QueueHeap {
-		return &binaryHeap{}
-	}
-	return newCalendarQueue()
-}
-
 // binaryHeap adapts the original container/heap implementation to the
-// eventQueue interface. Event.index is the heap position.
+// eventQueue interface. Event.index is the heap position. The scheduler
+// always runs on the calendar queue; the heap is the package tests'
+// oracle, whose pop order the calendar queue must reproduce exactly.
 type binaryHeap struct{ h eventHeap }
 
 func (b *binaryHeap) push(e *Event) { heap.Push(&b.h, e) }
@@ -130,7 +88,7 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// qitem is a calendar-queue entry: the ordering key inlined next to the
+// qitem is a calendar queue entry: the ordering key inlined next to the
 // event pointer, so bucket scans and sorted inserts compare keys from
 // one contiguous slice instead of chasing *Event pointers — the cache
 // behaviour the heap lacks.

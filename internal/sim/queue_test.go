@@ -5,58 +5,14 @@ import (
 	"testing"
 )
 
-func TestParseQueueKind(t *testing.T) {
-	cases := []struct {
-		in   string
-		want QueueKind
-		ok   bool
-	}{
-		{"", QueueCalendar, true},
-		{"calendar", QueueCalendar, true},
-		{"heap", QueueHeap, true},
-		{"Calendar", "", false},
-		{"fifo", "", false},
-	}
-	for _, c := range cases {
-		got, err := ParseQueueKind(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseQueueKind(%q) = %q, %v; want %q", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseQueueKind(%q) accepted; want error", c.in)
-		}
-	}
-	if kinds := QueueKinds(); len(kinds) != 2 || kinds[0] != QueueCalendar {
-		t.Errorf("QueueKinds() = %v; want calendar first", kinds)
-	}
-}
-
-func TestSchedulerQueueKind(t *testing.T) {
-	if k := NewScheduler().QueueKind(); k != QueueCalendar {
-		t.Errorf("NewScheduler queue kind = %q; want calendar", k)
-	}
-	if k := NewSchedulerQueue(QueueHeap).QueueKind(); k != QueueHeap {
-		t.Errorf("NewSchedulerQueue(heap) queue kind = %q; want heap", k)
-	}
-	if k := NewSchedulerQueue("").QueueKind(); k != QueueCalendar {
-		t.Errorf("NewSchedulerQueue(\"\") queue kind = %q; want calendar", k)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSchedulerQueue(bogus) did not panic")
-		}
-	}()
-	NewSchedulerQueue("bogus")
-}
-
 // TestQueuePopStreamsIdentical drives the two eventQueue implementations
 // directly with the same randomized push/remove/pop sequence and requires
-// identical (at, seq) pop streams — the total-order contract that makes
-// whole runs byte-identical across queue kinds.
+// identical (at, seq) pop streams — the total-order contract that lets the
+// binary heap serve as the calendar queue's oracle.
 func TestQueuePopStreamsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		qs := []eventQueue{newEventQueue(QueueHeap), newEventQueue(QueueCalendar)}
+		qs := []eventQueue{&binaryHeap{}, newCalendarQueue()}
 		// pending[i] mirrors the live events in qs[i]; the same slot is
 		// always the same logical event in both queues.
 		pending := [2][]*Event{}
@@ -145,9 +101,9 @@ func TestSchedulerTraceIdentical(t *testing.T) {
 		at    Time
 		label int
 	}
-	run := func(kind QueueKind, seed int64) []fire {
+	run := func(q eventQueue, seed int64) []fire {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSchedulerQueue(kind)
+		s := newScheduler(q)
 		var trace []fire
 		var handles []*Event
 		var label int
@@ -196,8 +152,8 @@ func TestSchedulerTraceIdentical(t *testing.T) {
 		return trace
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		h := run(QueueHeap, seed)
-		c := run(QueueCalendar, seed)
+		h := run(&binaryHeap{}, seed)
+		c := run(newCalendarQueue(), seed)
 		if len(h) != len(c) {
 			t.Fatalf("seed %d: trace length heap=%d calendar=%d", seed, len(h), len(c))
 		}
@@ -261,36 +217,51 @@ func TestCalendarReanchor(t *testing.T) {
 }
 
 // TestCalendarResizeChurn pushes the population through several grow and
-// shrink cycles and checks global ordering end to end.
+// shrink cycles and requires the calendar scheduler to fire the exact
+// event sequence the heap oracle fires, with the clock never going back.
 func TestCalendarResizeChurn(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := NewScheduler()
 	const n = 20000
-	var fired int
-	var last Time
-	check := func() {
-		if s.Now() < last {
-			t.Fatalf("clock went backwards: %v after %v", s.Now(), last)
+	run := func(q eventQueue) []int {
+		rng := rand.New(rand.NewSource(7))
+		s := newScheduler(q)
+		var fired []int
+		var last Time
+		var label int
+		schedule := func(span Duration) {
+			l := label
+			label++
+			s.Schedule(Duration(rng.Intn(int(span))), func() {
+				if s.Now() < last {
+					t.Fatalf("clock went backwards: %v after %v", s.Now(), last)
+				}
+				last = s.Now()
+				fired = append(fired, l)
+			})
 		}
-		last = s.Now()
-		fired++
+		for i := 0; i < n; i++ {
+			schedule(Second)
+		}
+		// Drain halfway (forcing shrink), refill (forcing grow), drain all.
+		for i := 0; i < n/2; i++ {
+			s.Step()
+		}
+		for i := 0; i < n; i++ {
+			schedule(2 * Second)
+		}
+		s.RunAll()
+		if len(fired) != 2*n {
+			t.Fatalf("fired %d events; want %d", len(fired), 2*n)
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("Pending = %d after drain", s.Pending())
+		}
+		return fired
 	}
-	for i := 0; i < n; i++ {
-		s.Schedule(Duration(rng.Intn(int(Second))), check)
-	}
-	// Drain halfway (forcing shrink), refill (forcing grow), drain all.
-	for i := 0; i < n/2; i++ {
-		s.Step()
-	}
-	for i := 0; i < n; i++ {
-		s.Schedule(Duration(rng.Intn(int(2*Second))), check)
-	}
-	s.RunAll()
-	if fired != 2*n {
-		t.Fatalf("fired %d events; want %d", fired, 2*n)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
+	h, c := run(&binaryHeap{}), run(newCalendarQueue())
+	for i := range h {
+		if h[i] != c[i] {
+			t.Fatalf("fire %d: heap fired event %d, calendar fired event %d", i, h[i], c[i])
+		}
 	}
 }
 
