@@ -8,7 +8,7 @@ GO ?= go
 MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting|BenchmarkScaleRun
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
-.PHONY: all build test bench bench-micro bench-json lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
+.PHONY: all build test bench bench-micro bench-json bench-e2e perfbench-test lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
 
 all: lint build test
 
@@ -38,6 +38,21 @@ bench-json:
 	  { cat $$tmp; rm -f $$tmp; echo "bench-json: benchmark run failed" >&2; exit 1; }; \
 	$(GO) run ./cmd/benchjson -date $(BENCH_DATE) -out BENCH_$(BENCH_DATE).json < $$tmp; \
 	rc=$$?; rm -f $$tmp; exit $$rc
+
+# perfbench is its own module, so the root build, vet and test never
+# compile it; perfbench-test (a CI job too) catches a change that breaks
+# an API the benchmark uses.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-e2e runs the whole-run benchmark (perfbench/README.md) on each
+# workload BENCHMARK.json declares, with perfbench's default flags,
+# printing one JSON summary line per workload. For another seed, duration
+# or trace mode, run perfbench/run.sh directly.
+bench-e2e:
+	@for w in paper50 scale500-mobile campaign-bursty; do \
+	  bash perfbench/run.sh --workload $$w || exit 1; \
+	done
 
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi

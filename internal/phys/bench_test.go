@@ -51,13 +51,8 @@ func BenchmarkChannelTransmit(b *testing.B) {
 		// index's candidate cells (the scenario wiring for moving
 		// nodes).
 		{"mobile", func(ch *Channel) { ch.SetMaxSpeed(3) }},
-		// nogrid: no epoch source, no spatial index — the linear
-		// all-radios rebuild every frame (the pre-index mobile
-		// behaviour; the O(N)-vs-O(neighbors) baseline).
-		{"nogrid", func(ch *Channel) { ch.SetMaxSpeed(3); ch.SetSpatialGrid(false) }},
-		// nocache: the reference uncached walk per frame (itself served
-		// by the spatial index; SetSpatialGrid(false) would restore the
-		// full-model walk).
+		// nocache: the reference walk per frame — every radio through
+		// the full propagation model, the O(N) baseline.
 		{"nocache", func(ch *Channel) { ch.SetLinkCache(false) }},
 	}
 	for _, n := range []int{10, 50, 200, 1000} {

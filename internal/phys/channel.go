@@ -35,11 +35,11 @@ func (t *Transmission) String() string {
 	return fmt.Sprintf("tx#%d from r%d %.1fmW %dbits @%v", t.Seq, t.From.ID(), t.PowerW*1e3, t.Bits, t.Start)
 }
 
-// Ranger is an optional Propagation capability: models that can invert
-// ReceivedPower report the distance at which a given transmit power
-// decays to a threshold. The channel uses it to derive a squared-distance
-// delivery cutoff so out-of-range radios are pruned with one geom.Dist2
-// comparison instead of a full propagation evaluation.
+// Ranger inverts ReceivedPower: the distance at which a given transmit
+// power decays to a threshold. Every deterministic model must implement
+// it; the channel derives a delivery cutoff from it, so out-of-range
+// radios are pruned by the spatial index and one geom.Dist2 comparison
+// instead of a full propagation evaluation.
 type Ranger interface {
 	RangeForTxPower(txPower, thresh float64) float64
 }
@@ -60,7 +60,6 @@ type linkEntry struct {
 type linkRow struct {
 	epoch     uint64
 	attachGen uint64
-	cutoff2   float64 // squared delivery-cutoff distance, 0 when unused
 	entries   []linkEntry
 }
 
@@ -77,11 +76,11 @@ type linkRow struct {
 // invalidated by the position epoch (SetPositionEpoch) and by radio
 // attachment; with no epoch source the channel assumes positions may
 // change at any time and rebuilds the transmitter's row per frame, which
-// preserves exact semantics at the pre-cache cost. Row builds themselves
-// are served by a spatial cell grid over the attached radios (grid.go),
-// enumerating only the cells overlapping the delivery-cutoff disk —
-// O(neighbors) instead of O(radios) per rebuild — with cell assignments
-// kept current across bounded motion via SetMaxSpeed.
+// preserves exact semantics at the pre-cache cost. Deterministic row
+// builds are served by a spatial cell grid over the attached radios
+// (grid.go), enumerating only the cells overlapping the delivery-cutoff
+// disk — O(neighbors) instead of O(radios) per rebuild — with cell
+// assignments kept current across bounded motion via SetMaxSpeed.
 type Channel struct {
 	sched *sim.Scheduler
 	model Propagation
@@ -95,6 +94,8 @@ type Channel struct {
 	// fresh dB draw, so fading sweeps keep their per-frame variation
 	// (and their exact RNG stream) while still skipping the geometry.
 	fade *Shadowing
+	// ranger is the model's range inversion, set when fade is nil.
+	ranger Ranger
 
 	// posEpoch reports the current position epoch; nil means unknown
 	// mobility (every instant is a new epoch). Same epoch promises all
@@ -104,16 +105,14 @@ type Channel struct {
 	// attachGen invalidates rows when radios attach after rows built.
 	attachGen uint64
 
-	// cacheOff disables link rows entirely (ablation/verification).
+	// cacheOff selects the uncached reference walk (SetLinkCache).
 	cacheOff bool
 
-	// grid is the spatial index over attached radios (see grid.go);
-	// gridOff disables it (ablation/verification), falling back to the
-	// linear all-radios walk. maxSpeed is the SetMaxSpeed motion bound
-	// in m/s (< 0: unknown, reassign conservatively). candIdx is the
-	// reusable candidate-enumeration buffer.
+	// grid is the spatial index over attached radios (see grid.go).
+	// maxSpeed is the SetMaxSpeed motion bound in m/s (< 0: unknown,
+	// reassign conservatively). candIdx is the reusable
+	// candidate-enumeration buffer.
 	grid     cellGrid
-	gridOff  bool
 	maxSpeed float64
 	candIdx  []int32
 
@@ -130,7 +129,9 @@ type Channel struct {
 }
 
 // NewChannel creates an empty channel using the given propagation model
-// and constants.
+// and constants. A model is either a *Shadowing or deterministic, and a
+// deterministic model must implement Ranger; NewChannel panics on one
+// that does not.
 func NewChannel(sched *sim.Scheduler, model Propagation, par Params) *Channel {
 	c := &Channel{
 		sched:         sched,
@@ -141,7 +142,13 @@ func NewChannel(sched *sim.Scheduler, model Propagation, par Params) *Channel {
 	}
 	if sh, ok := model.(*Shadowing); ok {
 		c.fade = sh
+		return c
 	}
+	rg, ok := model.(Ranger)
+	if !ok {
+		panic(fmt.Sprintf("phys: deterministic propagation model %q does not implement Ranger", model.Name()))
+	}
+	c.ranger = rg
 	return c
 }
 
@@ -161,9 +168,11 @@ func (c *Channel) Scheduler() *sim.Scheduler { return c.sched }
 // instant may have moved every node.
 func (c *Channel) SetPositionEpoch(fn func() uint64) { c.posEpoch = fn }
 
-// SetLinkCache enables or disables the link-row cache. Disabling forces
-// the per-frame full propagation walk; results are identical either way
-// (the cache-soundness tests rely on this), only speed differs.
+// SetLinkCache enables or disables the link-row cache. Disabling selects
+// transmitUncached, the per-frame walk of every radio through the full
+// propagation model — the reference that both the cache and the spatial
+// index are tested against. Results are identical either way; only
+// speed differs.
 func (c *Channel) SetLinkCache(enabled bool) { c.cacheOff = !enabled }
 
 // AttachRadio creates a radio on this channel at the position reported
@@ -197,7 +206,6 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 		// every radio stays in the row and only the deterministic mean
 		// is cached. (A mean-based cutoff would change which frames a
 		// lucky fade can deliver — and desync the RNG stream.)
-		row.cutoff2 = 0
 		for _, o := range c.radios {
 			if o == r {
 				continue
@@ -212,38 +220,21 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 		return
 	}
 	// Deterministic model: prune to radios that can sense the frame.
-	// When the model can invert itself, a squared-distance cutoff skips
-	// the propagation evaluation for far radios; the tiny relative slack
-	// keeps radios at the exact boundary inside the exact pr-vs-floor
-	// check below, so pruning never changes which radios deliver.
-	row.cutoff2 = 0
-	cutoff := 0.0
-	if rg, ok := c.model.(Ranger); ok {
-		cutoff = rg.RangeForTxPower(powerW, c.deliverFloorW) * (1 + 1e-9)
-		row.cutoff2 = cutoff * cutoff
-	}
-	// One filter body serves both enumerations: the spatial index (when
-	// usable) restricts the walk to the cells overlapping the cutoff
-	// disk, already sorted by attach index — the linear walk's order —
-	// so entries (order and bits) are identical either way.
-	var cands []int32
-	if c.gridUsable(cutoff) {
-		cands = c.gridCandidates(src, cutoff)
-	}
-	n := len(c.radios)
-	if cands != nil {
-		n = len(cands)
-	}
-	for k := 0; k < n; k++ {
+	// The spatial index restricts the walk to the cells overlapping the
+	// cutoff disk, in attach order, and a squared-distance check skips
+	// the propagation evaluation for far candidates. The tiny relative
+	// slack keeps radios at the exact boundary inside the exact
+	// pr-vs-floor check below, so pruning never changes which radios
+	// deliver.
+	cutoff := c.ranger.RangeForTxPower(powerW, c.deliverFloorW) * (1 + 1e-9)
+	cutoff2 := cutoff * cutoff
+	for _, k := range c.gridCandidates(src, cutoff) {
 		o := c.radios[k]
-		if cands != nil {
-			o = c.radios[cands[k]]
-		}
 		if o == r {
 			continue
 		}
 		p := o.pos()
-		if row.cutoff2 > 0 && src.Dist2(p) > row.cutoff2 {
+		if src.Dist2(p) > cutoff2 {
 			continue
 		}
 		dist := src.Dist(p)
@@ -315,31 +306,12 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 	return tx
 }
 
-// transmitUncached is the reference delivery path: evaluate the full
-// propagation model, per frame, with no link-row cache. It must stay
-// behaviourally identical to the cached path — the link-cache soundness
-// tests diff whole simulations between the two. The spatial index
-// serves this path too: radios beyond the delivery cutoff receive
-// below the floor (the model is monotone decreasing in distance), so
-// restricting the walk to grid candidates schedules the same events;
-// SetSpatialGrid(false) restores the literal every-radio walk.
+// transmitUncached is the reference delivery path: every attached radio,
+// the full propagation model, per frame — no link row, no spatial index,
+// no cutoff. It must stay behaviourally identical to the cached path;
+// the scenario reference test diffs whole simulations between the two.
 func (c *Channel) transmitUncached(tx *Transmission) {
-	var cands []int32
-	if rg, ok := c.model.(Ranger); ok {
-		cutoff := rg.RangeForTxPower(tx.PowerW, c.deliverFloorW) * (1 + 1e-9)
-		if c.gridUsable(cutoff) {
-			cands = c.gridCandidates(tx.SrcPos, cutoff)
-		}
-	}
-	n := len(c.radios)
-	if cands != nil {
-		n = len(cands)
-	}
-	for k := 0; k < n; k++ {
-		o := c.radios[k]
-		if cands != nil {
-			o = c.radios[cands[k]]
-		}
+	for _, o := range c.radios {
 		if o == tx.From {
 			continue
 		}

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,6 +39,24 @@ func TestChannelAccessors(t *testing.T) {
 	if r.Channel() != ch {
 		t.Error("radio Channel mismatch")
 	}
+}
+
+// rangeless is a deterministic model that cannot invert itself.
+type rangeless struct{}
+
+func (rangeless) ReceivedPower(txPower, dist float64) float64 { return txPower }
+func (rangeless) Name() string                                { return "rangeless" }
+
+// TestNewChannelRequiresRanger pins the construction-time contract: the
+// delivery cutoff is resolved once, so a deterministic model without a
+// range inversion is refused up front rather than per row build.
+func TestNewChannelRequiresRanger(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "rangeless") {
+			t.Fatalf("NewChannel(rangeless) panic = %v, want one naming the model", r)
+		}
+	}()
+	NewChannel(sim.NewScheduler(), rangeless{}, DefaultParams())
 }
 
 func TestTransmissionMethods(t *testing.T) {

@@ -16,13 +16,11 @@ import (
 //
 // Determinism: the grid never decides *which* radios receive a frame.
 // It yields a candidate superset of the cutoff disk; the caller applies
-// the exact squared-distance and delivery-floor filters of the linear
-// walk, in candidate order sorted by radio attach index, so the
-// resulting link row — entry order, received-power bits, delays, and
-// therefore scheduler event order, RNG streams and JSONL output — is
-// byte-identical to the full walk. The grid-vs-linear soundness tests
-// (phys grid tests, scenario.TestSpatialGridSound*, runner
-// TestExecuteGridLinearIdentical) rest on this.
+// the exact squared-distance and delivery-floor filters, in candidate
+// order sorted by radio attach index, so the deliveries it schedules —
+// order, received-power bits, delays, and therefore RNG streams and
+// JSONL output — are byte-identical to the every-radio reference walk
+// (Channel.SetLinkCache(false)).
 //
 // Staleness: cells hold radios by their position at assignment time.
 // With a motion bound (Channel.SetMaxSpeed) the index tolerates bounded
@@ -76,13 +74,6 @@ func (g *cellGrid) cellOf(p geom.Point) uint64 {
 	return packCell(int32(math.Floor(p.X*g.inv)), int32(math.Floor(p.Y*g.inv)))
 }
 
-// SetSpatialGrid enables or disables the channel's spatial index.
-// Disabling forces every link-row build (and the uncached reference
-// path) back to the linear all-radios walk; results are identical
-// either way (the grid soundness tests rely on this), only speed
-// differs.
-func (c *Channel) SetSpatialGrid(enabled bool) { c.gridOff = !enabled }
-
 // SetMaxSpeed promises that no attached radio's position changes faster
 // than mps metres per second of simulated time (0 = nobody ever moves).
 // The spatial index uses the bound to keep cell assignments valid
@@ -92,15 +83,6 @@ func (c *Channel) SetSpatialGrid(enabled bool) { c.gridOff = !enabled }
 // positions may have changed, which preserves exact semantics at O(N)
 // per rebuild epoch.
 func (c *Channel) SetMaxSpeed(mps float64) { c.maxSpeed = mps }
-
-// gridUsable reports whether the spatial index may serve candidate
-// enumeration: it needs a finite delivery cutoff (a Ranger model,
-// cutoff > 0) and no fading — a per-delivery fade draw keeps every
-// radio in the row, so there is nothing to prune (and pruning would
-// desync the fade RNG stream).
-func (c *Channel) gridUsable(cutoff float64) bool {
-	return !c.gridOff && c.fade == nil && cutoff > 0
-}
 
 // gridCandidates returns the attach indices, sorted ascending (= attach
 // order), of every radio whose current position can lie within cutoff
@@ -112,11 +94,6 @@ func (c *Channel) gridCandidates(src geom.Point, cutoff float64) []int32 {
 	g := &c.grid
 	r := cutoff + drift
 	r2 := r * r
-	if c.candIdx == nil {
-		// Callers distinguish "grid unusable" (nil) from "no candidates"
-		// (empty), so the scratch buffer must never be nil.
-		c.candIdx = make([]int32, 0, 64)
-	}
 	ix0 := int32(math.Floor((src.X - r) * g.inv))
 	ix1 := int32(math.Floor((src.X + r) * g.inv))
 	iy0 := int32(math.Floor((src.Y - r) * g.inv))
@@ -140,7 +117,7 @@ func (c *Channel) gridCandidates(src geom.Point, cutoff float64) []int32 {
 			c.candIdx = append(c.candIdx, radios...)
 		}
 	}
-	// Attach order is the contract: the linear walk enumerates
+	// Attach order is the contract: the reference walk enumerates
 	// c.radios in attach order, and scheduler event order (and with it
 	// every downstream RNG stream) follows link-row entry order.
 	slices.Sort(c.candIdx)

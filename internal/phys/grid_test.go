@@ -17,8 +17,9 @@ var dialLevels = []float64{1e-3, 2e-3, 3.45e-3, 5.95e-3, 10.26e-3,
 // TestGridCandidatesProperty is the spatial-index soundness property:
 // for random placements and every power level, (a) the grid's candidate
 // enumeration is a superset of the delivery-cutoff disk, and (b) the
-// link row built from grid candidates equals the linear walk's exactly
-// — same entries, same order, bit-identical received powers and delays.
+// link row built from grid candidates equals a linear walk over every
+// radio exactly — same entries, same order, bit-identical received
+// powers and delays.
 func TestGridCandidatesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
@@ -32,7 +33,7 @@ func TestGridCandidatesProperty(t *testing.T) {
 		}
 		src := ch.radios[rng.Intn(n)]
 		for _, powerW := range dialLevels {
-			cutoff := ch.model.(Ranger).RangeForTxPower(powerW, ch.deliverFloorW) * (1 + 1e-9)
+			cutoff := ch.ranger.RangeForTxPower(powerW, ch.deliverFloorW) * (1 + 1e-9)
 
 			// (a) superset of the cutoff disk.
 			cands := ch.gridCandidates(src.pos(), cutoff)
@@ -53,18 +54,26 @@ func TestGridCandidatesProperty(t *testing.T) {
 			}
 
 			// (b) grid row == linear row, order included, bit for bit.
-			var rowG, rowL linkRow
-			ch.gridOff = false
+			var rowG linkRow
 			ch.buildRow(&rowG, src, powerW)
-			ch.gridOff = true
-			ch.buildRow(&rowL, src, powerW)
-			ch.gridOff = false
-			if len(rowG.entries) != len(rowL.entries) {
+			var linear []linkEntry
+			for _, o := range ch.radios {
+				if o == src {
+					continue
+				}
+				dist := src.pos().Dist(o.pos())
+				pr := ch.model.ReceivedPower(powerW, dist)
+				if pr < ch.deliverFloorW {
+					continue
+				}
+				linear = append(linear, linkEntry{to: o, prW: pr, delay: sim.DurationOf(dist / SpeedOfLight)})
+			}
+			if len(rowG.entries) != len(linear) {
 				t.Fatalf("trial %d power %g: grid row has %d entries, linear %d",
-					trial, powerW, len(rowG.entries), len(rowL.entries))
+					trial, powerW, len(rowG.entries), len(linear))
 			}
 			for i := range rowG.entries {
-				g, l := rowG.entries[i], rowL.entries[i]
+				g, l := rowG.entries[i], linear[i]
 				if g.to != l.to || g.prW != l.prW || g.delay != l.delay {
 					t.Fatalf("trial %d power %g entry %d: grid {to=%d pr=%b delay=%d} != linear {to=%d pr=%b delay=%d}",
 						trial, powerW, i, g.to.id, g.prW, g.delay, l.to.id, l.prW, l.delay)
@@ -111,13 +120,10 @@ func buildRecorded(t *testing.T, setup func(ch *Channel)) []string {
 // TestGridNilEpochMatchesUncached pins the epoch-less fallback: a
 // channel with no position-epoch source (unknown mobility) rebuilds the
 // scratch row per frame through the grid, and must deliver byte-for-
-// byte what the uncached, grid-less reference walk delivers.
+// byte what the uncached reference walk delivers.
 func TestGridNilEpochMatchesUncached(t *testing.T) {
-	gridded := buildRecorded(t, func(ch *Channel) {}) // nil epoch, grid on
-	reference := buildRecorded(t, func(ch *Channel) {
-		ch.SetLinkCache(false)
-		ch.SetSpatialGrid(false)
-	})
+	gridded := buildRecorded(t, func(ch *Channel) {}) // nil epoch
+	reference := buildRecorded(t, func(ch *Channel) { ch.SetLinkCache(false) })
 	if len(gridded) == 0 {
 		t.Fatal("no deliveries recorded, the comparison proves nothing")
 	}
@@ -153,7 +159,7 @@ func TestGridSkinCoversBoundedMotion(t *testing.T) {
 	ch := NewChannel(sched, NewTwoRayGround(par), par)
 	ch.SetMaxSpeed(10)
 
-	cutoff := ch.model.(Ranger).RangeForTxPower(0.2818, ch.deliverFloorW)
+	cutoff := ch.ranger.RangeForTxPower(0.2818, ch.deliverFloorW)
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &rxCountHandler{})
 	pos := geom.Point{X: cutoff + 5} // just out of sensing range
 	hb := &rxCountHandler{}

@@ -1,8 +1,7 @@
-// Campaign execution: a worker pool over the expanded run list —
-// dynamic pull from a shared queue, or a static run-key partition
-// (ShardByKey) — with results re-sequenced into deterministic campaign
-// order before emission, so the JSONL stream is byte-identical for any
-// worker count and either assignment strategy. Execution is
+// Campaign execution: a worker pool pulling from a shared queue over the
+// expanded run list, with results re-sequenced into deterministic
+// campaign order before emission, so the JSONL stream is byte-identical
+// for any worker count and completion order. Execution is
 // context-cancellable; whatever was emitted before the cancel is a
 // valid campaign-order checkpoint prefix.
 package runner
@@ -13,7 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -333,21 +331,6 @@ func MultiProgress(ps ...Progress) Progress {
 	})
 }
 
-// ShardOf maps a run key to a shard index in [0, shards): FNV-1a over
-// the key, reduced mod shards. The partition is a pure function of the
-// key, so a campaign divided across any pool — local goroutines or
-// remote machines — assigns every run to the same shard, and each
-// shard's work list (and therefore its output segment) is deterministic
-// in isolation.
-func ShardOf(key string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(shards))
-}
-
 // RetryEvent reports one failed attempt that will be retried. It is
 // delivered from the worker goroutine that ran the attempt — NOT in
 // campaign order and NOT serialized with Progress — because a retry is
@@ -365,8 +348,7 @@ type RetryEvent struct {
 
 // ExecOptions configures Execute.
 type ExecOptions struct {
-	// Workers bounds concurrent simulations (default GOMAXPROCS). With
-	// ShardByKey it is also the shard count.
+	// Workers bounds concurrent simulations (default GOMAXPROCS).
 	Workers int
 	// Out, if non-nil, receives executed results as JSONL in campaign
 	// order (resumed results are not re-written).
@@ -379,13 +361,6 @@ type ExecOptions struct {
 	// Progress, if non-nil, receives every emitted run (including
 	// resumed ones) in campaign order, from a single goroutine.
 	Progress Progress
-	// ShardByKey statically partitions pending runs across the workers
-	// by ShardOf(run key) instead of pulling from a shared queue. Each
-	// shard executes its runs in campaign order. Output is byte-identical
-	// either way (emission is re-sequenced regardless); the static
-	// partition is what lets shards run in isolation — the daemon's
-	// worker pool and future multi-machine sharding depend on it.
-	ShardByKey bool
 
 	// RunTimeout is the per-attempt watchdog: an attempt still running
 	// after this long is abandoned (its goroutine parks on a buffered
@@ -468,7 +443,7 @@ type Summary struct {
 // simulations and execute concurrently; emission (Out, Progress) is
 // re-sequenced into the campaign's deterministic run order, so the
 // JSONL stream is byte-identical whether one worker ran or sixteen,
-// and whether assignment was dynamic or statically sharded.
+// in whatever order they finished.
 //
 // Runs are isolated: a panicking or (with RunTimeout) hung simulation
 // never takes down the process — it is retried per Retries with capped
@@ -638,62 +613,35 @@ func Execute(ctx context.Context, c Campaign, opts ExecOptions) (Summary, error)
 		}
 		return outcome{idx: r.Index, res: res, wall: wall}
 	}
-	if opts.ShardByKey {
-		// Static partition: shard i owns exactly the runs whose key
-		// hashes to i, regardless of how many are pending or how fast the
-		// other shards drain. Workers is the shard count verbatim so the
-		// partition is a function of the option, not of checkpoint state.
-		shards := make([][]Run, workers)
-		for _, r := range pending {
-			s := ShardOf(r.Key, workers)
-			shards[s] = append(shards[s], r)
-		}
-		for _, shard := range shards {
-			if len(shard) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(list []Run) {
-				defer wg.Done()
-				for _, r := range list {
-					if ctx.Err() != nil {
-						return
-					}
-					outs <- execute(r)
-				}
-			}(shard)
-		}
-	} else {
-		if workers > len(pending) && len(pending) > 0 {
-			workers = len(pending)
-		}
-		jobs := make(chan Run)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range jobs {
-					outs <- execute(r)
-				}
-			}()
-		}
+	if workers > len(pending) && len(pending) > 0 {
+		workers = len(pending)
+	}
+	jobs := make(chan Run)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			defer close(jobs)
-			for _, r := range pending {
-				// The explicit check matters: a ready-to-send select picks
-				// randomly between its cases, so without it a cancelled
-				// dispatcher could keep handing out jobs.
-				if ctx.Err() != nil {
-					return
-				}
-				select {
-				case jobs <- r:
-				case <-ctx.Done():
-					return
-				}
+			defer wg.Done()
+			for r := range jobs {
+				outs <- execute(r)
 			}
 		}()
 	}
+	go func() {
+		defer close(jobs)
+		for _, r := range pending {
+			// The explicit check matters: a ready-to-send select picks
+			// randomly between its cases, so without it a cancelled
+			// dispatcher could keep handing out jobs.
+			if ctx.Err() != nil {
+				return
+			}
+			select {
+			case jobs <- r:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
 	go func() {
 		wg.Wait()
 		close(outs)

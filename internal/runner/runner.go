@@ -330,9 +330,14 @@ func (c Campaign) axes() []axis {
 	}
 }
 
+// MaxRuns bounds a campaign's expansion. A spec is outside input and
+// every Run costs kilobytes, so Runs rejects a larger grid before
+// building any run. The largest preset (scale) expands to 384 runs.
+const MaxRuns = 10000
+
 // Runs expands the campaign grid into its deterministic run list: the
 // cross product of the axes() descriptors (variants outermost) with
-// replications innermost.
+// replications innermost. A grid of more than MaxRuns runs is an error.
 func (c Campaign) Runs() ([]Run, error) {
 	for _, load := range c.LoadsKbps {
 		if load < 0 {
@@ -346,6 +351,19 @@ func (c Campaign) Runs() ([]Run, error) {
 	}
 	if reps <= 0 {
 		reps = 1
+	}
+	// Multiply with early exit: n*total > MaxRuns exactly when
+	// n > MaxRuns/total, so the product never overflows.
+	tooMany := fmt.Errorf("runner: campaign %q expands to more than %d runs (axis lengths times reps)", c.Name, MaxRuns)
+	if reps > MaxRuns {
+		return nil, tooMany
+	}
+	total := reps
+	for _, ax := range axes {
+		if ax.n > MaxRuns/total {
+			return nil, tooMany
+		}
+		total *= ax.n
 	}
 	baseSeed := c.BaseSeed
 	if baseSeed == 0 {

@@ -195,8 +195,7 @@ func TestDuplicateAxisValueRejected(t *testing.T) {
 
 // TestExecuteDeterministicAcrossWorkers is the tentpole invariant: the
 // JSONL stream and the Progress order are byte/value-identical whether
-// the campaign ran serially or on a full worker pool — with dynamic
-// pull or static run-key sharding.
+// the campaign ran serially or on a full worker pool.
 func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 	var serial bytes.Buffer
 	var serialKeys []string
@@ -213,31 +212,28 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 	if sum1.Executed != 8 {
 		t.Fatalf("executed %d, want 8", sum1.Executed)
 	}
-	for _, shard := range []bool{false, true} {
-		var parallel bytes.Buffer
-		var parallelKeys []string
-		sumN, err := Execute(context.Background(), tinyCampaign(), ExecOptions{
-			Workers:    8,
-			ShardByKey: shard,
-			Out:        &parallel,
-			Progress: ProgressFunc(func(ev RunEvent) {
-				parallelKeys = append(parallelKeys, ev.Run.Key)
-			}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sumN.Executed != 8 {
-			t.Fatalf("shard=%v: executed %d, want 8", shard, sumN.Executed)
-		}
-		if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-			t.Errorf("shard=%v: JSONL differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
-				shard, serial.String(), parallel.String())
-		}
-		for i := range serialKeys {
-			if serialKeys[i] != parallelKeys[i] {
-				t.Fatalf("shard=%v: Progress order differs at %d: %s vs %s", shard, i, serialKeys[i], parallelKeys[i])
-			}
+	var parallel bytes.Buffer
+	var parallelKeys []string
+	sumN, err := Execute(context.Background(), tinyCampaign(), ExecOptions{
+		Workers: 8,
+		Out:     &parallel,
+		Progress: ProgressFunc(func(ev RunEvent) {
+			parallelKeys = append(parallelKeys, ev.Run.Key)
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumN.Executed != 8 {
+		t.Fatalf("executed %d, want 8", sumN.Executed)
+	}
+	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
+		t.Errorf("JSONL differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
+			serial.String(), parallel.String())
+	}
+	for i := range serialKeys {
+		if serialKeys[i] != parallelKeys[i] {
+			t.Fatalf("Progress order differs at %d: %s vs %s", i, serialKeys[i], parallelKeys[i])
 		}
 	}
 }
@@ -392,6 +388,36 @@ func TestRunsRejectsInvalidExpansion(t *testing.T) {
 	c.Variants = []Variant{{Name: "bad", Patch: scenario.FileConfig{WarmupS: 50}}}
 	if _, err := c.Runs(); err == nil {
 		t.Fatal("warmup beyond duration accepted")
+	}
+}
+
+// TestRunsBounded pins the expansion bound: a grid just over MaxRuns is
+// refused before any run is built, whether the size comes from reps,
+// a seed list or the axis product, and a reps value at the edge of int
+// is refused without overflow; a grid of exactly MaxRuns expands.
+func TestRunsBounded(t *testing.T) {
+	loads := make([]float64, 100)
+	for i := range loads {
+		loads[i] = float64(i + 1)
+	}
+	over := []Campaign{
+		{Name: "reps", Reps: MaxRuns + 1},
+		{Name: "huge-reps", Reps: math.MaxInt},
+		{Name: "seed-list", SeedList: make([]int64, MaxRuns+1)},
+		{Name: "product", LoadsKbps: loads, Reps: MaxRuns/100 + 1},
+	}
+	for _, c := range over {
+		if _, err := c.Runs(); err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Errorf("%s: err = %v, want the run-bound rejection", c.Name, err)
+		}
+	}
+	at := Campaign{Name: "at", LoadsKbps: loads, Reps: MaxRuns / 100}
+	runs, err := at.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != MaxRuns {
+		t.Fatalf("expanded %d runs, want %d", len(runs), MaxRuns)
 	}
 }
 
@@ -671,68 +697,6 @@ func TestExecuteRepeatDeterministic(t *testing.T) {
 					t.Fatalf("execution %d JSONL differs from the first:\n--- first ---\n%s--- again ---\n%s",
 						i+2, first.String(), again.String())
 				}
-			}
-		})
-	}
-}
-
-// TestExecuteGridLinearIdentical is the end-to-end proof the spatial
-// neighbor index is invisible: the same campaign executed with the grid
-// on and off must emit byte-identical JSONL — every delivery, RNG
-// stream and rounding decision unchanged. The mobile case drives the
-// skin-bounded incremental cell reassignment; the fading case pins the
-// linear fallback (no delivery cutoff under per-frame fades).
-func TestExecuteGridLinearIdentical(t *testing.T) {
-	base := scenario.Options{
-		Duration: 2 * sim.Second,
-		Warmup:   sim.Duration(sim.Second / 2),
-		SpeedMin: 20, // fast motion: the drift bound works for a living
-		SpeedMax: 20,
-	}
-	cases := []struct {
-		name string
-		c    Campaign
-	}{
-		{
-			name: "mobile",
-			c: Campaign{
-				Name:      "grid-mobile",
-				Base:      withNodes(base, 40),
-				Schemes:   []mac.Scheme{mac.Basic, mac.PCMAC},
-				LoadsKbps: []float64{300},
-				Reps:      1,
-			},
-		},
-		{
-			name: "fading",
-			c: Campaign{
-				Name:        "grid-fading",
-				Base:        withNodes(base, 30),
-				Schemes:     []mac.Scheme{mac.PCMAC},
-				LoadsKbps:   []float64{300},
-				ShadowingDB: []float64{4},
-				Reps:        1,
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var gridded bytes.Buffer
-			if _, err := Execute(context.Background(), tc.c, ExecOptions{Workers: 2, Out: &gridded}); err != nil {
-				t.Fatal(err)
-			}
-			if gridded.Len() == 0 {
-				t.Fatal("campaign emitted nothing")
-			}
-			linearCamp := tc.c
-			linearCamp.Base.DisableSpatialGrid = true
-			var linear bytes.Buffer
-			if _, err := Execute(context.Background(), linearCamp, ExecOptions{Workers: 2, Out: &linear}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gridded.Bytes(), linear.Bytes()) {
-				t.Fatalf("grid JSONL differs from linear walk:\n--- grid ---\n%s--- linear ---\n%s",
-					gridded.String(), linear.String())
 			}
 		})
 	}

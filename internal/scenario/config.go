@@ -103,7 +103,7 @@ func (fc FileConfig) Options() (Options, error) {
 	for _, fp := range fc.FlowPairs {
 		o.FlowPairs = append(o.FlowPairs, [2]packet.NodeID{packet.NodeID(fp[0]), packet.NodeID(fp[1])})
 	}
-	if err := validate(o); err != nil {
+	if err := Validate(o); err != nil {
 		return Options{}, err
 	}
 	return o, nil
@@ -112,11 +112,7 @@ func (fc FileConfig) Options() (Options, error) {
 // Validate rejects configurations that would only fail (or silently
 // run with an empty measurement window) deep inside a run. Zero fields
 // are legal — they take the paper's defaults.
-func Validate(o Options) error { return validate(o) }
-
-// validate rejects configurations that would only fail deep inside a
-// run.
-func validate(o Options) error {
+func Validate(o Options) error {
 	switch {
 	case o.Nodes < 0 || o.Flows < 0:
 		return fmt.Errorf("scenario: negative nodes/flows")

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mac"
@@ -28,144 +29,110 @@ func linkCacheOpts(shadowSigma float64) Options {
 	}
 }
 
-// equalResults compares every float a cached-vs-uncached divergence
-// could perturb. Equality must be exact: the cache stores the very same
-// received-power and delay values the uncached walk computes.
-func equalResults(t *testing.T, name string, a, b Result) {
-	t.Helper()
-	if a.Events != b.Events {
-		t.Errorf("%s: events %d != %d", name, a.Events, b.Events)
-	}
-	pairs := []struct {
-		what string
-		x, y float64
-	}{
-		{"throughput", a.ThroughputKbps, b.ThroughputKbps},
-		{"delay", a.AvgDelayMs, b.AvgDelayMs},
-		{"pdr", a.PDR, b.PDR},
-		{"fairness", a.JainFairness, b.JainFairness},
-		{"energy", a.RadiatedEnergyJ, b.RadiatedEnergyJ},
-		{"ctrlEnergy", a.CtrlRadiatedEnergyJ, b.CtrlRadiatedEnergyJ},
-	}
-	for _, p := range pairs {
-		if p.x != p.y {
-			t.Errorf("%s: %s %v != %v", name, p.what, p.x, p.y)
-		}
-	}
-	if a.MAC != b.MAC {
-		t.Errorf("%s: MAC stats diverge:\n  cached   %+v\n  uncached %+v", name, a.MAC, b.MAC)
+// fastOpts is a 20 m/s paper-field run: cell assignments drift through
+// the spatial index's Verlet skin and reassign repeatedly.
+func fastOpts(scheme mac.Scheme, nodes int, shadowSigma float64) Options {
+	return Options{
+		Scheme:           scheme,
+		Nodes:            nodes,
+		SpeedMin:         20,
+		SpeedMax:         20,
+		OfferedLoadKbps:  300,
+		Duration:         2 * sim.Second,
+		Warmup:           sim.Duration(sim.Second / 2),
+		Seed:             11,
+		ShadowingSigmaDB: shadowSigma,
 	}
 }
 
-// TestLinkCacheSoundMobile is the invalidation-soundness proof the cache
-// rests on: a moving-waypoint run must produce bit-identical results
-// with and without the link-gain cache. Any stale row — a position
-// change the epoch counter missed — shows up as a diverging delivery
-// and fails the comparison.
+// skinOpts outruns the spatial index's Verlet skin: at 40 m/s over 6 s
+// the drift bound exceeds the skin several times, so cells are
+// reassigned mid-run and rows are built from a drift-inflated disk. The
+// short rows above never leave their first cell assignment.
+func skinOpts(shadowSigma float64) Options {
+	o := fastOpts(mac.PCMAC, 40, shadowSigma)
+	o.SpeedMin, o.SpeedMax = 40, 40
+	o.Duration = 6 * sim.Second
+	return o
+}
+
+// requireReference is the soundness proof the production delivery path
+// rests on: the run must produce a Result equal in every field to the
+// same run on the reference walk (SetLinkCache(false): every radio
+// through the full propagation model, per frame, no link rows and no
+// spatial index). A stale row — a position change the epoch counter
+// missed — or a stale grid cell the drift bound failed to cover shows up
+// as a diverging delivery; under fading, the cached path must also
+// consume the fade generator in exactly the reference order.
+func requireReference(t *testing.T, o Options) {
+	t.Helper()
+	prod, err := Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.DataCh.SetLinkCache(false)
+	if ref.CtrlCh != nil {
+		ref.CtrlCh.SetLinkCache(false)
+	}
+	got, want := prod.Run(), ref.Run()
+	if got.Events == 0 || got.MAC.Delivered == 0 {
+		t.Fatal("run delivered nothing, the comparison proves nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("production result differs from the reference walk:\n  production %+v\n  reference  %+v", got, want)
+	}
+}
+
+// TestLinkCacheSoundMobile: nodes in constant flight rebuild the link
+// rows at nearly every frame — the worst case for invalidation bugs.
 func TestLinkCacheSoundMobile(t *testing.T) {
-	o := linkCacheOpts(0)
-	cached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableLinkCache = true
-	uncached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Events == 0 {
-		t.Fatal("empty run proves nothing")
-	}
-	equalResults(t, "mobile", cached, uncached)
+	requireReference(t, linkCacheOpts(0))
 }
 
-// TestLinkCacheSoundShadowing adds log-normal fading: the cached path
-// must consume the fade generator in exactly the order the uncached
-// walk does (one draw per attached radio per frame), or the streams
-// desync and every subsequent delivery differs.
+// TestLinkCacheSoundShadowing adds log-normal fading: one fade draw per
+// attached radio per frame, in the reference walk's order.
 func TestLinkCacheSoundShadowing(t *testing.T) {
-	o := linkCacheOpts(4.0)
-	cached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableLinkCache = true
-	uncached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "shadowing", cached, uncached)
+	requireReference(t, linkCacheOpts(4.0))
 }
 
-// gridVsLinear diffs a whole simulation between the spatial-index path
-// and the linear-walk path (grid disabled): the index must be invisible
-// in every metric.
-func gridVsLinear(t *testing.T, name string, o Options) {
-	t.Helper()
-	gridded, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableSpatialGrid = true
-	linear, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gridded.Events == 0 {
-		t.Fatalf("%s: empty run proves nothing", name)
-	}
-	equalResults(t, name, gridded, linear)
-}
-
-// TestSpatialGridSoundMobile is the grid's invalidation-soundness
-// proof: a fast-moving waypoint run — cell assignments drifting through
-// the Verlet skin and reassigning repeatedly — must be bit-identical to
-// the linear all-radios walk. A stale cell the drift bound failed to
-// cover shows up as a missed delivery and fails the comparison.
+// TestSpatialGridSoundMobile drives the grid through mid-run cell
+// reassignment and drift-inflated enumeration (skinOpts).
 func TestSpatialGridSoundMobile(t *testing.T) {
-	gridVsLinear(t, "grid-mobile", linkCacheOpts(0))
+	requireReference(t, skinOpts(0))
 }
 
-// TestSpatialGridSoundStatic covers pinned placements: cells are
-// assigned once (motion bound 0) and candidate enumeration serves every
-// rebuild.
-func TestSpatialGridSoundStatic(t *testing.T) {
-	o := linkCacheOpts(0)
-	o.Topology = TopologyClusters // pinned hotspot placement, dense cells
-	gridVsLinear(t, "grid-static", o)
-}
-
-// TestSpatialGridSoundFading pins the fading fallback: log-normal
-// shadowing removes the delivery cutoff (every radio stays in the row,
-// one fade draw each), so the grid must step aside without perturbing
-// the fade RNG stream.
+// TestSpatialGridSoundFading pins the fading branch on the same
+// geometry: shadowing removes the delivery cutoff, so rows are built
+// without the grid and every radio draws its fade in attach order.
 func TestSpatialGridSoundFading(t *testing.T) {
-	gridVsLinear(t, "grid-fading", linkCacheOpts(4.0))
+	requireReference(t, skinOpts(4.0))
 }
 
-// TestSpatialGridSoundUncached crosses the knobs: with the link cache
-// disabled the uncached reference walk is itself served by the grid,
-// and must still match the grid-less uncached walk.
-func TestSpatialGridSoundUncached(t *testing.T) {
-	o := linkCacheOpts(0)
-	o.DisableLinkCache = true
-	gridVsLinear(t, "grid-uncached", o)
-}
+// TestLinkCacheSound runs requireReference over the remaining
+// geometries: pinned placements whose rows are built once and reused,
+// and 20 m/s paper-field runs for both schemes.
+func TestLinkCacheSound(t *testing.T) {
+	clusters := linkCacheOpts(0)
+	clusters.Topology = TopologyClusters // pinned hotspot placement, dense cells
+	fig1 := Fig1Options(mac.PCMAC)       // paper's static two-pair topology: rows built once
+	fig1.Duration = 2 * sim.Second
+	fig1.Warmup = sim.Duration(sim.Second / 2) // keep a window inside the shortened horizon
 
-// TestLinkCacheSoundStatic covers the other extreme: a static topology
-// whose rows are built exactly once and reused for the whole run.
-func TestLinkCacheSoundStatic(t *testing.T) {
-	o := Fig1Options(mac.PCMAC) // paper's static two-pair topology
-	o.Duration = 2 * sim.Second
-	o.Warmup = sim.Duration(sim.Second / 2) // keep a window inside the shortened horizon
-	cached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		o    Options
+	}{
+		{"clusters", clusters},
+		{"fig1", fig1},
+		{"basic-40-node", fastOpts(mac.Basic, 40, 0)},
+		{"pcmac-40-node", fastOpts(mac.PCMAC, 40, 0)},
+		{"pcmac-30-node-fading", fastOpts(mac.PCMAC, 30, 4.0)},
 	}
-	o.DisableLinkCache = true
-	uncached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { requireReference(t, tc.o) })
 	}
-	equalResults(t, "static", cached, uncached)
 }

@@ -11,15 +11,27 @@ import (
 
 // BenchmarkScaleRun times whole runs at the scale preset's
 // constant-density geometry (field grows as sqrt(n/50), flows at the
-// paper's 1:5 ratio) at n=500 and n=2000. It is the only whole-run
-// number at n=2000: the perfbench workloads stop at n=500.
+// paper's 1:5 ratio) at n=500 and n=2000, mobile, plus n=500 pinned on
+// the grid topology. It is the only whole-run number at n=2000 (the
+// perfbench workloads stop at n=500) and the only one that exercises
+// the link-row cache: static placements reuse ~99% of their rows, the
+// mobile cases none.
 func BenchmarkScaleRun(b *testing.B) {
-	for _, n := range []int{500, 2000} {
+	cases := []struct {
+		n        int
+		topology string
+	}{{500, ""}, {2000, ""}, {500, TopologyGrid}}
+	for _, tc := range cases {
+		n := tc.n
 		// Traffic starts at the default t=1s, so 2 simulated seconds
 		// buys one full second of offered load at both sizes.
 		dur := 2 * sim.Second
 		side := 1000 * math.Sqrt(float64(n)/50)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		name := fmt.Sprintf("n=%d", n)
+		if tc.topology != "" {
+			name += "/topology=" + tc.topology
+		}
+		b.Run(name, func(b *testing.B) {
 			o := Options{
 				Scheme:          mac.Basic, // PCMAC's ctrl IDs cap at 256 nodes
 				Nodes:           n,
@@ -30,6 +42,7 @@ func BenchmarkScaleRun(b *testing.B) {
 				Duration:        dur,
 				Warmup:          dur / 4,
 				Seed:            1,
+				Topology:        tc.topology,
 			}
 			var events uint64
 			b.ReportAllocs()

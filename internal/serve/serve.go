@@ -1,6 +1,7 @@
 // Package serve is the campaign service: long-lived execution of
-// campaign specs with per-campaign JSONL checkpoints, deterministic
-// static sharding across a worker pool, live event streaming, and an
+// campaign specs with per-campaign JSONL checkpoints, a worker pool
+// pulling runs from a shared queue with emission re-sequenced into
+// deterministic campaign order, live event streaming, and an
 // HTTP surface (cmd/campaignd) on top. cmd/campaign is a thin client
 // of the same package — both run campaigns through RunCampaign, which
 // is what makes a daemon-served results.jsonl byte-identical to the
@@ -132,7 +133,7 @@ func SpecID(cf runner.CampaignFile) string {
 // Options configures a Service's execution and fault-tolerance
 // policy. The zero value is a working default.
 type Options struct {
-	// Workers is the per-campaign shard count (0 = GOMAXPROCS).
+	// Workers is the per-campaign worker count (0 = GOMAXPROCS).
 	Workers int
 	// Retries / RunTimeout / NoRetryFailed are the per-run
 	// fault-tolerance knobs, passed through to runner.ExecOptions: a
@@ -164,7 +165,7 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Service owns the campaigns of one daemon: submission, sharded
+// Service owns the campaigns of one daemon: submission, pooled
 // execution with checkpoints under its state dir, cancellation, and
 // restart recovery (NewService re-launches every persisted campaign;
 // finished ones settle instantly from their checkpoints).
@@ -343,7 +344,6 @@ func (s *Service) launch(c *Campaign) {
 	c.cancel = cancel
 	exec := runner.ExecOptions{
 		Workers:       s.opts.Workers,
-		ShardByKey:    true,
 		Progress:      c,
 		Retries:       s.opts.Retries,
 		RunTimeout:    s.opts.RunTimeout,

@@ -190,6 +190,21 @@ func TestHTTPSubmitPollFetch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "loads_kpbs") {
 		t.Fatalf("bad spec: %d %s", resp.StatusCode, b)
 	}
+	// A tiny body asking for a hundred million runs is refused before
+	// expansion, not materialised.
+	start := time.Now()
+	resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(`{"name": "x", "base": {"scheme": "basic"}, "reps": 100000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "more than") {
+		t.Fatalf("oversized spec: %d %s", resp.StatusCode, b)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("oversized spec took %v to reject", elapsed)
+	}
 	resp, err = http.Get(ts.URL + "/campaigns/nope")
 	if err != nil {
 		t.Fatal(err)
