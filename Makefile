@@ -8,7 +8,7 @@ GO ?= go
 MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting|BenchmarkScaleRun
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
-.PHONY: all build test bench bench-micro bench-json bench-e2e perfbench-test lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
+.PHONY: all build test bench bench-micro bench-json bench-e2e perfbench-test fuzz-smoke lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
 
 all: lint build test
 
@@ -44,6 +44,15 @@ bench-json:
 # an API the benchmark uses.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz-smoke runs each native fuzz target for 20 s beyond its seeds
+# (plain go test runs only the seeds): the scheduler's heap-vs-wheel
+# oracle and the campaign spec parser. A failure leaves its input under
+# the package's testdata/fuzz/ for go test to replay. For a longer run,
+# call go test -run='^$' -fuzz=<target> -fuzztime=<d> directly.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzQueueOracle$$' -fuzztime=20s ./internal/sim/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseCampaignFile$$' -fuzztime=20s ./internal/runner/
 
 # bench-e2e runs the whole-run benchmark (perfbench/README.md) on each
 # workload BENCHMARK.json declares, with perfbench's default flags,

@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -191,6 +192,55 @@ func TestGridSkinCoversBoundedMotion(t *testing.T) {
 		t.Fatalf("moved-into-range radio heard %d deliveries, want 1", hb.rxs)
 	}
 	if got := ch.grid.keys[b.idx]; got != assignedCell {
+		t.Fatalf("grid reassigned (cell %x -> %x) although drift was within the skin", assignedCell, got)
+	}
+}
+
+// TestGridDriftFromUntouchedCell pins the drift inflation itself. The
+// transmitter sits 20 m left of a cell edge, so the cell just past its
+// cutoff lies cutoff+20 m away: the uninflated disk does not touch it,
+// and the drift-inflated one does. A radio assigned there drifts 22 m
+// inward, within the skin (no reassignment) and into range; only the
+// inflated enumeration finds it.
+func TestGridDriftFromUntouchedCell(t *testing.T) {
+	sched := sim.NewScheduler()
+	par := DefaultParams()
+	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch.SetMaxSpeed(10)
+
+	const powerW = 0.2818
+	cutoff := ch.ranger.RangeForTxPower(powerW, ch.deliverFloorW)
+	src := geom.Point{X: -20}
+	a := ch.AttachRadio(0, func() geom.Point { return src }, &rxCountHandler{})
+	pos := geom.Point{X: cutoff + 1} // cutoff+21 m from a: out of range
+	hb := &rxCountHandler{}
+	b := ch.AttachRadio(1, func() geom.Point { return pos }, hb)
+
+	a.Transmit(powerW, 1024, 100*sim.Microsecond, nil)
+	sched.RunAll()
+	if hb.rxs != 0 {
+		t.Fatalf("out-of-range radio heard %d deliveries, want 0", hb.rxs)
+	}
+	g := &ch.grid
+	assignedCell := g.keys[b.idx]
+	cellX := math.Floor(pos.X*g.inv) * g.cell // left edge of b's cell
+	if gap := cellX - src.X; gap <= cutoff*(1+1e-9) {
+		t.Fatalf("b's cell starts %.1f m from a, inside the %.1f m cutoff: the uninflated disk touches it", gap, cutoff)
+	}
+
+	// 6 s at 10 m/s bounds the drift at 60 m, inside the skin.
+	sched.At(sched.Now().Add(sim.DurationOf(6)), func() {})
+	sched.RunAll()
+	if 60 >= g.skin {
+		t.Fatalf("test needs a 60 m drift bound < skin %.1f", g.skin)
+	}
+	pos = geom.Point{X: cutoff - 21} // cutoff-1 m from a: in range
+	a.Transmit(powerW, 1024, 100*sim.Microsecond, nil)
+	sched.RunAll()
+	if hb.rxs != 1 {
+		t.Fatalf("radio that drifted into range heard %d deliveries, want 1", hb.rxs)
+	}
+	if got := g.keys[b.idx]; got != assignedCell {
 		t.Fatalf("grid reassigned (cell %x -> %x) although drift was within the skin", assignedCell, got)
 	}
 }

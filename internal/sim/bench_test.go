@@ -12,17 +12,18 @@ import (
 // pooled timer path, so the loop is allocation-free and the number is
 // the queue operations themselves, not the garbage collector.
 //
-// The pending-population axis is what separates the calendar queue from
+// The pending-population axis is what separates the timing wheel from
 // the binary-heap oracle, benchmarked alongside it for reference: the
 // heap pays O(log n) pointer-chasing sift chains against the backlog on
-// every operation, the calendar queue stays in the hot bucket. 1M
+// every operation, while the wheel's churn stays in its front and its
+// lowest level, and the backlog is touched only when it cascades. 1M
 // pending approximates a 1000-node run's standing timer load.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	queues := []struct {
 		name string
 		new  func() eventQueue
 	}{
-		{"calendar", func() eventQueue { return newCalendarQueue() }},
+		{"wheel", func() eventQueue { return newTimingWheel() }},
 		{"heap", func() eventQueue { return &binaryHeap{} }},
 	}
 	for _, q := range queues {

@@ -3,53 +3,46 @@ package sim
 import (
 	"container/heap"
 	"math/bits"
+	"slices"
 )
 
 // eventQueue is the scheduler's pending-event set. The contract every
 // implementation must honour:
 //
-//   - Total order. peekMin/popMin return the queued event with the
-//     smallest (at, seq) key — an exact minimum, never merely an
-//     equal-time approximation. Same-instant events therefore pop in
-//     schedule order, which is what makes a run's event trace (and its
-//     JSONL output) independent of the queue implementation.
+//   - Total order. popMin returns the queued event with the smallest
+//     (at, seq) key — an exact minimum, never merely an equal-time
+//     approximation — or nil when that key's time is past its limit
+//     (Run's horizon), leaving the event queued. Same-instant events
+//     therefore pop in schedule order, which is what makes a run's
+//     event trace (and its JSONL output) independent of the queue
+//     implementation.
 //   - Position bookkeeping. While an event is queued, its index (and,
-//     for the calendar queue, bucket) fields belong to the queue.
+//     for the timing wheel, next/prev) fields belong to the queue.
 //     popMin and remove must leave index negative: index >= 0 is the
 //     kernel-wide "still pending" predicate (Event.Pending, Cancel).
-//   - Monotone pushes. push may assume e.at is never earlier than the
-//     last popped event's time minus the clock rewinds the kernel
-//     forbids — i.e. the scheduler has already range-checked e.at
-//     against now. (Run's horizon clamp can still move now past base;
-//     implementations must tolerate pushes below their internal anchor,
-//     which the calendar queue handles by re-anchoring.)
+//   - Pushes at or after now. The scheduler has range-checked e.at
+//     against now, so push never sees a time before the last popped
+//     event, nor before the limit of a popMin that returned nil (Run
+//     then clamps now up to its horizon).
 //   - remove is called only for queued events (index >= 0), exactly
 //     once per queued lifetime.
 type eventQueue interface {
 	push(e *Event)
-	peekMin() *Event
-	popMin() *Event
+	popMin(limit Time) *Event
 	remove(e *Event)
 	len() int
 }
 
 // binaryHeap adapts the original container/heap implementation to the
 // eventQueue interface. Event.index is the heap position. The scheduler
-// always runs on the calendar queue; the heap is the package tests'
-// oracle, whose pop order the calendar queue must reproduce exactly.
+// always runs on the timing wheel; the heap is the package tests'
+// oracle, whose pop order the wheel must reproduce exactly.
 type binaryHeap struct{ h eventHeap }
 
 func (b *binaryHeap) push(e *Event) { heap.Push(&b.h, e) }
 
-func (b *binaryHeap) peekMin() *Event {
-	if len(b.h) == 0 {
-		return nil
-	}
-	return b.h[0]
-}
-
-func (b *binaryHeap) popMin() *Event {
-	if len(b.h) == 0 {
+func (b *binaryHeap) popMin(limit Time) *Event {
+	if len(b.h) == 0 || b.h[0].at > limit {
 		return nil
 	}
 	return heap.Pop(&b.h).(*Event)
@@ -88,316 +81,228 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// qitem is a calendar queue entry: the ordering key inlined next to the
-// event pointer, so bucket scans and sorted inserts compare keys from
-// one contiguous slice instead of chasing *Event pointers — the cache
-// behaviour the heap lacks.
+// qitem is a front entry: the ordering key inlined next to the event
+// pointer, so the front's sort and binary searches compare keys from one
+// contiguous slice instead of chasing *Event pointers. ev is nil for a
+// cancelled entry (a tombstone), whose key still orders the search.
 type qitem struct {
 	at  Time
 	seq uint64
 	ev  *Event
 }
 
-func qless(a, b qitem) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// qcmp orders front entries by (at, seq). It is small enough to inline
+// into search, which every same-tick push and front cancel runs.
+func qcmp(a, b qitem) int {
+	switch {
+	case a.at < b.at || a.at == b.at && a.seq < b.seq:
+		return -1
+	case a.at == b.at && a.seq == b.seq:
+		return 0
 	}
-	return a.seq < b.seq
+	return 1
 }
 
 const (
-	// ladderBucket marks (in Event.bucket) an event parked in the
-	// overflow ladder rather than a calendar bucket.
-	ladderBucket = -2
+	// wheelTickShift sets the level-0 slot width: one tick is 2^8 =
+	// 256 ns, so a level-L slot spans 2^(8+6L) ns.
+	wheelTickShift = 8
 
-	// calMinBuckets floors the bucket-array size so tiny populations
-	// never resize.
-	calMinBuckets = 64
+	// wheelSlotBits / wheelSlots: each level has 64 slots, one bit of a
+	// uint64 occupancy word apiece.
+	wheelSlotBits = 6
+	wheelSlots    = 1 << wheelSlotBits
 
-	// calMaxBuckets caps growth: 24-byte slice headers per bucket make
-	// the array itself the cost at extreme sizes.
-	calMaxBuckets = 1 << 22
+	// wheelLevels covers every Time: 8 + 6*10 = 68 bits >= 63.
+	wheelLevels = 10
 
-	// calGrowAt / calShrinkAt bound the average occupancy (pending
-	// events per bucket): grow past 8, shrink below 1. Resizing targets
-	// ~4, so sorted inserts and head pops move only a handful of
-	// 24-byte items.
-	calGrowAt   = 8
-	calShrinkAt = 1
+	// frontSlot marks (in Event.index) an event held in the sorted
+	// front rather than a wheel slot; wheel events store their slot
+	// number level*wheelSlots + slot there.
+	frontSlot = wheelLevels * wheelSlots
 )
 
-// calendarQueue is a calendar queue (Brown 1988), modified to keep a
-// strict one-year window instead of wrapping: buckets partition
-// [base, base+year) into fixed-width slots, bucket contents stay sorted
-// by (at, seq), and everything at or past base+year waits in an
-// overflow ladder that is sorted lazily — items are merged into sorted
-// buckets only when the year advances over them. The year advances
-// (advance) only when the buckets are empty, so the first item of the
-// first non-empty bucket at or after cur is always the global minimum.
+// timingWheel is a hierarchical timing wheel (Varghese & Lauck 1987,
+// the structure behind the Linux and tokio timers) that pops in the
+// exact (at, seq) order. Its geometry is fixed: there is no slot width
+// to tune from the traffic and nothing to rebuild as the population
+// grows or shrinks.
 //
-// Near-term operations are amortised O(1): push binary-searches one
-// ~4-item bucket, pop shifts one bucket head, far-future push appends
-// to the ladder. The O(n) events — re-bucketing a year advance, resize
-// after the population grows or shrinks 8x — happen once per O(n)
-// cheap operations.
-type calendarQueue struct {
-	buckets [][]qitem
-	width   Duration // time span of one bucket, >= 1ns
-	base    Time     // start of the current year; all bucket items are in [base, base+year)
-	cur     int      // no non-empty bucket before this index
-	ncal    int      // items in buckets (excludes ladder)
-
-	// occ is the occupancy bitmap: bit b set iff buckets[b] is
-	// non-empty. The find-next-event scan walks this (16KB per million
-	// pending, cache-resident) instead of the multi-megabyte bucket
-	// array.
-	occ []uint64
-
-	// ladder holds events at or past base+year, unsorted, removable in
-	// O(1) by swap-delete (Event.index is the slice position).
-	ladder []qitem
+// Time is counted in 256 ns ticks, written as base-64 digits. cur is
+// the tick of the front window. A wheel event is filed at the level of
+// the highest digit in which its tick differs from cur, in the slot
+// named by its own digit there: it shares every higher digit with cur,
+// and its digit at its level is larger. So every level-L event precedes
+// every level-(L+1) event, slots within a level are in time order, and
+// the next events lie in the lowest set bit of the lowest non-empty
+// level's occupancy word. Taking a level>0 slot moves cur to the slot's
+// start and re-files its events at lower levels (a cascade); an event
+// cascades at most once per level.
+//
+// Events in cur's tick live in front, one slice sorted by (at, seq) and
+// popped by advancing head. Taking a level-0 slot copies its events
+// there once and sorts them; a push into cur's tick (a same-slot
+// schedule) binary-search inserts; a cancel there leaves a tombstone.
+//
+// Invariant: every front event's tick <= cur < every wheel event's
+// tick. popMin moves cur only to the start of a slot that begins at or
+// before its limit, so cur never passes the tick of the last popped
+// event or of Run's horizon: the scheduler's clock never sits below
+// cur, and pushes land at or above it. (A push below cur would still be
+// ordered correctly, through the front, but each would pay an insert
+// into an ever-wider sorted slice.)
+//
+// Slots are intrusive doubly linked lists through Event.next/prev, so
+// push and cancel are O(1) and no slot owns an array.
+type timingWheel struct {
+	cur   uint64                           // tick of the front window
+	occ   [wheelLevels]uint64              // bit s of occ[L]: slot s of level L is non-empty
+	slots [wheelLevels * wheelSlots]*Event // list heads, level*wheelSlots + slot
+	front []qitem                          // sorted (at, seq); front[:head] already popped
+	head  int
+	n     int // pending events, tombstones excluded
 }
 
-func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
-		buckets: make([][]qitem, calMinBuckets),
-		occ:     make([]uint64, calMinBuckets/64),
-		width:   10 * Microsecond,
-	}
-}
+func newTimingWheel() *timingWheel { return &timingWheel{} }
 
-func (q *calendarQueue) len() int { return q.ncal + len(q.ladder) }
+func (w *timingWheel) len() int { return w.n }
 
-// year returns the window span, saturating instead of overflowing when
-// width was tuned from a huge event spread.
-func (q *calendarQueue) year() Duration {
-	n := Duration(len(q.buckets))
-	y := q.width * n
-	if y/n != q.width {
-		return Duration(MaxTime)
-	}
-	return y
-}
-
-func (q *calendarQueue) push(e *Event) {
-	if e.at < q.base {
-		// Only reachable after Run's horizon clamp moved now backwards
-		// relative to a base that advance() had jumped past the horizon;
-		// rare enough that an O(n) rebuild is fine.
-		q.reanchor(e.at)
-	}
-	q.insert(qitem{at: e.at, seq: e.seq, ev: e})
-	if q.len() > calGrowAt*len(q.buckets) && len(q.buckets) < calMaxBuckets {
-		q.resize()
-	}
-}
-
-// insert files an item into its sorted bucket, or into the ladder when
-// it lies beyond the current year. Requires it.at >= base.
-func (q *calendarQueue) insert(it qitem) {
-	if Duration(it.at-q.base) >= q.year() {
-		it.ev.bucket = ladderBucket
-		it.ev.index = len(q.ladder)
-		q.ladder = append(q.ladder, it)
+func (w *timingWheel) push(e *Event) {
+	w.n++
+	if uint64(e.at)>>wheelTickShift <= w.cur {
+		w.insertFront(e)
 		return
 	}
-	b := int(Duration(it.at-q.base) / q.width)
-	bk := q.buckets[b]
-	lo, hi := 0, len(bk)
+	w.file(e)
+}
+
+// file links e into its wheel slot. Requires e's tick > cur.
+func (w *timingWheel) file(e *Event) {
+	t := uint64(e.at) >> wheelTickShift
+	level := (bits.Len64(t^w.cur) - 1) / wheelSlotBits
+	s := int(t>>(wheelSlotBits*level)) & (wheelSlots - 1)
+	i := level*wheelSlots + s
+	head := w.slots[i]
+	e.prev = nil
+	e.next = head
+	if head != nil {
+		head.prev = e
+	}
+	w.slots[i] = e
+	w.occ[level] |= 1 << s
+	e.index = i
+}
+
+// search returns the first position at or after head whose key is not
+// below it.
+func (w *timingWheel) search(it qitem) int {
+	lo, hi := w.head, len(w.front)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if qless(bk[m], it) {
+		if qcmp(w.front[m], it) < 0 {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	bk = append(bk, qitem{})
-	copy(bk[lo+1:], bk[lo:])
-	bk[lo] = it
-	q.buckets[b] = bk
-	q.occ[b>>6] |= 1 << (b & 63)
-	it.ev.bucket = int32(b)
-	it.ev.index = lo
-	for i := lo + 1; i < len(bk); i++ {
-		bk[i].ev.index = i
-	}
-	if b < q.cur {
-		// peekMin may have walked cur past this bucket while it was
-		// empty (e.g. peeking beyond a Run horizon); rewind so the scan
-		// still starts at or before the first non-empty bucket.
-		q.cur = b
-	}
-	q.ncal++
+	return lo
 }
 
-func (q *calendarQueue) peekMin() *Event {
-	if q.ncal == 0 {
-		if len(q.ladder) == 0 {
+// insertFront binary-search inserts e into the front, behind every
+// earlier key.
+func (w *timingWheel) insertFront(e *Event) {
+	it := qitem{at: e.at, seq: e.seq, ev: e}
+	p := w.search(it)
+	w.front = append(w.front, qitem{})
+	copy(w.front[p+1:], w.front[p:])
+	w.front[p] = it
+	e.index = frontSlot
+}
+
+func (w *timingWheel) popMin(limit Time) *Event {
+	for {
+		for ; w.head < len(w.front); w.head++ {
+			it := w.front[w.head]
+			if it.ev == nil {
+				continue // popped or cancelled
+			}
+			if it.at > limit {
+				return nil
+			}
+			w.front[w.head].ev = nil
+			w.head++
+			w.n--
+			it.ev.index = -1
+			return it.ev
+		}
+		if !w.refill(limit) {
 			return nil
 		}
-		q.advance()
 	}
-	if len(q.buckets[q.cur]) == 0 {
-		// Scan the occupancy bitmap for the next non-empty bucket;
-		// ncal > 0 guarantees a set bit at or after cur.
-		w := q.cur >> 6
-		word := q.occ[w] &^ (1<<(q.cur&63) - 1)
-		for word == 0 {
-			w++
-			word = q.occ[w]
-		}
-		q.cur = w<<6 + bits.TrailingZeros64(word)
-	}
-	return q.buckets[q.cur][0].ev
 }
 
-func (q *calendarQueue) popMin() *Event {
-	e := q.peekMin()
-	if e == nil {
-		return nil
+// refill replaces the drained front with the next non-empty window,
+// cascading higher-level slots down until one reaches cur's tick. It
+// reports false, leaving the front empty, when the wheel is empty or
+// its next slot starts after limit.
+func (w *timingWheel) refill(limit Time) bool {
+	w.front = w.front[:0] // popped and cancelled entries hold no pointer
+	w.head = 0
+	for len(w.front) == 0 {
+		level := 0
+		for level < wheelLevels && w.occ[level] == 0 {
+			level++
+		}
+		if level == wheelLevels {
+			return false
+		}
+		s := bits.TrailingZeros64(w.occ[level])
+		// The slot's start: cur's digits above level, s at level,
+		// zeros below.
+		above := uint(wheelSlotBits * (level + 1))
+		start := w.cur>>above<<above | uint64(s)<<(wheelSlotBits*level)
+		if Time(start<<wheelTickShift) > limit {
+			return false
+		}
+		w.cur = start
+		w.occ[level] &^= 1 << s
+		i := level*wheelSlots + s
+		e := w.slots[i]
+		w.slots[i] = nil
+		for e != nil {
+			next := e.next
+			e.next, e.prev = nil, nil
+			if uint64(e.at)>>wheelTickShift == w.cur {
+				w.front = append(w.front, qitem{at: e.at, seq: e.seq, ev: e})
+				e.index = frontSlot
+			} else {
+				w.file(e)
+			}
+			e = next
+		}
 	}
-	q.remove(e)
-	return e
+	slices.SortFunc(w.front, qcmp)
+	return true
 }
 
-func (q *calendarQueue) remove(e *Event) {
-	if e.bucket == ladderBucket {
-		i := e.index
-		last := len(q.ladder) - 1
-		if i != last {
-			q.ladder[i] = q.ladder[last]
-			q.ladder[i].ev.index = i
-		}
-		q.ladder[last] = qitem{}
-		q.ladder = q.ladder[:last]
+func (w *timingWheel) remove(e *Event) {
+	if e.index == frontSlot {
+		w.front[w.search(qitem{at: e.at, seq: e.seq})].ev = nil
 	} else {
-		b := int(e.bucket)
-		bk := q.buckets[b]
 		i := e.index
-		copy(bk[i:], bk[i+1:])
-		bk[len(bk)-1] = qitem{}
-		bk = bk[:len(bk)-1]
-		q.buckets[b] = bk
-		if len(bk) == 0 {
-			q.occ[b>>6] &^= 1 << (b & 63)
+		if e.prev != nil {
+			e.prev.next = e.next
+		} else {
+			w.slots[i] = e.next
+			if e.next == nil {
+				w.occ[i/wheelSlots] &^= 1 << (i % wheelSlots)
+			}
 		}
-		for j := i; j < len(bk); j++ {
-			bk[j].ev.index = j
+		if e.next != nil {
+			e.next.prev = e.prev
 		}
-		q.ncal--
+		e.next, e.prev = nil, nil
 	}
+	w.n--
 	e.index = -1
-	e.bucket = -1
-	if q.len() < calShrinkAt*len(q.buckets)/4 && len(q.buckets) > calMinBuckets {
-		q.resize()
-	}
-}
-
-// advance moves the year to the earliest ladder item and re-buckets
-// every ladder item that the new window reaches. Only called with empty
-// buckets and a non-empty ladder; afterwards ncal >= 1 (the minimum
-// itself always lands in bucket 0).
-func (q *calendarQueue) advance() {
-	min := q.ladder[0]
-	for _, it := range q.ladder[1:] {
-		if qless(it, min) {
-			min = it
-		}
-	}
-	q.base = min.at
-	q.cur = 0
-	q.migrate()
-}
-
-// migrate re-files ladder items that now fall inside the year.
-func (q *calendarQueue) migrate() {
-	year := q.year()
-	for i := 0; i < len(q.ladder); {
-		it := q.ladder[i]
-		if Duration(it.at-q.base) >= year {
-			i++
-			continue
-		}
-		last := len(q.ladder) - 1
-		if i != last {
-			q.ladder[i] = q.ladder[last]
-			q.ladder[i].ev.index = i
-		}
-		q.ladder[last] = qitem{}
-		q.ladder = q.ladder[:last]
-		q.insert(it)
-	}
-}
-
-// collect drains every bucket, returning the items globally sorted
-// (bucket order is time order, buckets are sorted internally).
-func (q *calendarQueue) collect() []qitem {
-	items := make([]qitem, 0, q.ncal)
-	for b := q.cur; b < len(q.buckets); b++ {
-		items = append(items, q.buckets[b]...)
-		q.buckets[b] = q.buckets[b][:0]
-	}
-	for w := range q.occ {
-		q.occ[w] = 0
-	}
-	q.ncal = 0
-	return items
-}
-
-// resize rebuilds the bucket array for the current population: the
-// bucket count targets ~4 items per bucket and the width is tuned to
-// the observed spacing of the next events to fire, so a cluster of
-// near-term events spreads across many buckets even when a far outlier
-// stretches the total span. Items the retuned year no longer covers
-// fall through insert into the ladder; ladder items it newly covers are
-// migrated in.
-func (q *calendarQueue) resize() {
-	total := q.len()
-	items := q.collect()
-
-	n := calMinBuckets
-	for n < total/4 && n < calMaxBuckets {
-		n *= 2
-	}
-	q.buckets = make([][]qitem, n)
-	q.occ = make([]uint64, n/64)
-	q.cur = 0
-
-	// Tune width from the head of the sorted calendar population: the
-	// average gap over (up to) the next 64 events, times the target
-	// occupancy. Head sampling, not total span / count, is what keeps
-	// one far-future event from inflating every bucket.
-	// base stays put: it is already a lower bound for every item, and
-	// raising it to items[0].at would strand the scheduler clock below
-	// base, turning every near-term push into an O(n) reanchor.
-	if len(items) >= 2 {
-		k := len(items)
-		if k > 64 {
-			k = 64
-		}
-		span := Duration(items[k-1].at - items[0].at)
-		w := 4 * span / Duration(k-1)
-		if w < 1 {
-			w = 1
-		}
-		q.width = w
-	}
-	for _, it := range items {
-		q.insert(it)
-	}
-	// A wider year may now cover ladder items (and repeated grows will
-	// pull a deep ladder in stepwise).
-	q.migrate()
-}
-
-// reanchor rebuilds the calendar with base at, for the rare push below
-// base (see push).
-func (q *calendarQueue) reanchor(at Time) {
-	items := q.collect()
-	q.base = at
-	q.cur = 0
-	for _, it := range items {
-		q.insert(it)
-	}
 }

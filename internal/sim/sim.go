@@ -73,11 +73,15 @@ func DurationOf(seconds float64) Duration {
 // moment they fire or are cancelled; no handle to them ever escapes, so
 // no caller can observe the reuse.
 type Event struct {
-	at     Time
-	seq    uint64
-	index  int   // position within the queue (heap slot / bucket slot), -1 when not queued
-	bucket int32 // calendar bucket number (ladderBucket for the overflow ladder); unused by the heap
-	fn     func()
+	at    Time
+	seq   uint64
+	index int // heap position, or timing-wheel slot (frontSlot for the front); -1 when not queued
+
+	// next/prev link the event into its timing-wheel slot list; unused
+	// by the heap and while the event sits in the wheel's front.
+	next, prev *Event
+
+	fn func()
 
 	// Typed no-capture form: when h is non-nil the event dispatches
 	// h.HandleEvent(kind, arg, x) instead of fn. The three payload slots
@@ -85,12 +89,14 @@ type Event struct {
 	// closure allocation per event.
 	h    EventHandler
 	kind int32
-	arg  any
-	x    float64
 
 	// pooled events are owned by the scheduler (or, transiently, a
-	// Timer) and return to the free list on fire/cancel.
+	// Timer) and return to the free list on fire/cancel. Declared next
+	// to kind so the two share a word and Event stays 96 bytes.
 	pooled bool
+
+	arg any
+	x   float64
 }
 
 // EventHandler receives typed events scheduled with ScheduleEvent. The
@@ -133,12 +139,12 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler with the clock at zero, backed by the
-// calendar queue.
-func NewScheduler() *Scheduler { return newScheduler(newCalendarQueue()) }
+// timing wheel.
+func NewScheduler() *Scheduler { return newScheduler(newTimingWheel()) }
 
 // newScheduler returns a scheduler with the clock at zero whose
 // pending-event set is q. The package tests pass the binary-heap oracle
-// here to check the calendar queue against it.
+// here to check the timing wheel against it.
 func newScheduler(q eventQueue) *Scheduler { return &Scheduler{q: q} }
 
 // Now returns the current simulation time.
@@ -300,10 +306,16 @@ func (s *Scheduler) cancelOwned(e *Event) {
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty.
 func (s *Scheduler) Step() bool {
-	e := s.q.popMin()
+	e := s.q.popMin(MaxTime)
 	if e == nil {
 		return false
 	}
+	s.fire(e)
+	return true
+}
+
+// fire advances the clock to a popped event and dispatches it.
+func (s *Scheduler) fire(e *Event) {
 	s.now = e.at
 	s.executed++
 	if e.h != nil {
@@ -317,12 +329,11 @@ func (s *Scheduler) Step() bool {
 			s.release(e)
 		}
 		h.HandleEvent(kind, arg, x)
-		return true
+		return
 	}
 	// Closure events are never pooled (their handles escape via
 	// Schedule/At), so the struct is simply abandoned to the GC.
 	e.fn()
-	return true
 }
 
 // Run executes events in time order until the queue drains, until an
@@ -332,11 +343,11 @@ func (s *Scheduler) Step() bool {
 func (s *Scheduler) Run(horizon Time) {
 	s.stopped = false
 	for !s.stopped {
-		e := s.q.peekMin()
-		if e == nil || e.at > horizon {
+		e := s.q.popMin(horizon)
+		if e == nil {
 			break
 		}
-		s.Step()
+		s.fire(e)
 	}
 	if s.now < horizon && !s.stopped {
 		s.now = horizon
