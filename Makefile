@@ -47,12 +47,14 @@ perfbench-test:
 
 # fuzz-smoke runs each native fuzz target for 20 s beyond its seeds
 # (plain go test runs only the seeds): the scheduler's heap-vs-wheel
-# oracle and the campaign spec parser. A failure leaves its input under
-# the package's testdata/fuzz/ for go test to replay. For a longer run,
-# call go test -run='^$' -fuzz=<target> -fuzztime=<d> directly.
+# oracle, the campaign spec parser and the scenario config decoder. A
+# failure leaves its input under the package's testdata/fuzz/ for go
+# test to replay. For a longer run, call
+# go test -run='^$' -fuzz=<target> -fuzztime=<d> directly.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueOracle$$' -fuzztime=20s ./internal/sim/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseCampaignFile$$' -fuzztime=20s ./internal/runner/
+	$(GO) test -run='^$$' -fuzz='^FuzzFileConfig$$' -fuzztime=20s ./internal/scenario/
 
 # bench-e2e runs the whole-run benchmark (perfbench/README.md) on each
 # workload BENCHMARK.json declares, with perfbench's default flags,

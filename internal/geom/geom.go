@@ -95,9 +95,7 @@ func (r Rect) Center() Point {
 }
 
 // Dist2 returns the squared distance from p to the nearest point of r
-// (zero when p lies inside) — Clamp finds that nearest point. The
-// spatial index uses it to discard grid cells that cannot intersect a
-// delivery-cutoff disk.
+// (zero when p lies inside) — Clamp finds that nearest point.
 func (r Rect) Dist2(p Point) float64 {
 	return p.Dist2(r.Clamp(p))
 }

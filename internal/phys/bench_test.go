@@ -37,7 +37,7 @@ func benchGrid(sched *sim.Scheduler, ch *Channel, n int) []*Radio {
 // BenchmarkChannelTransmit measures the full cost of putting one frame
 // on the air — neighbor selection, received-power evaluation and arrival
 // event scheduling — plus draining the arrival events, from the paper's
-// 50-node scale up to the 1000-node regime the spatial index targets.
+// 50-node scale up to the 1000-node regime the neighbour lists target.
 func BenchmarkChannelTransmit(b *testing.B) {
 	variants := []struct {
 		name  string
@@ -46,11 +46,17 @@ func BenchmarkChannelTransmit(b *testing.B) {
 		// static: positions pinned via a constant epoch — the link rows
 		// are built once and every transmit walks the cached slice.
 		{"static", func(ch *Channel) { ch.SetPositionEpoch(func() uint64 { return 0 }) }},
-		// mobile: no epoch source, but a waypoint-speed motion bound —
-		// the transmitter's row is rebuilt every frame from the spatial
-		// index's candidate cells (the scenario wiring for moving
-		// nodes).
-		{"mobile", func(ch *Channel) { ch.SetMaxSpeed(3) }},
+		// mobile: the scenario wiring for moving nodes — a position
+		// epoch that advances every frame (as mobility.Epochs does
+		// while any node is in flight) and the waypoint 3 m/s motion
+		// bound. The transmitter's row is rebuilt every frame from its
+		// neighbour list, which is itself rebuilt once the drift bound
+		// passes the skin.
+		{"mobile", func(ch *Channel) {
+			sched := ch.Scheduler()
+			ch.SetPositionEpoch(func() uint64 { return uint64(sched.Now()) })
+			ch.SetMaxSpeed(3)
+		}},
 		// nocache: the reference walk per frame — every radio through
 		// the full propagation model, the O(N) baseline.
 		{"nocache", func(ch *Channel) { ch.SetLinkCache(false) }},
@@ -77,8 +83,8 @@ func BenchmarkChannelTransmit(b *testing.B) {
 	// power-controlling MAC sends its data at the smallest sufficient
 	// dial (here 3.45 mW, the paper's third level, reaching ~2 lattice
 	// neighbors), so neighbor selection — not arrival delivery —
-	// dominates the frame cost. One max-power frame first sizes the
-	// grid cells exactly as a real run's RTS would.
+	// dominates the frame cost. One max-power frame first builds the
+	// max-power row, as a real run's RTS would.
 	for _, v := range variants {
 		if v.name == "nocache" {
 			continue

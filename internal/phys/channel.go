@@ -38,7 +38,7 @@ func (t *Transmission) String() string {
 // Ranger inverts ReceivedPower: the distance at which a given transmit
 // power decays to a threshold. Every deterministic model must implement
 // it; the channel derives a delivery cutoff from it, so out-of-range
-// radios are pruned by the spatial index and one geom.Dist2 comparison
+// radios are pruned by the neighbour lists and one geom.Dist2 comparison
 // instead of a full propagation evaluation.
 type Ranger interface {
 	RangeForTxPower(txPower, thresh float64) float64
@@ -63,6 +63,30 @@ type linkRow struct {
 	entries   []linkEntry
 }
 
+// nbrList is a Verlet neighbour list for one (transmitter, power level)
+// pair: the attach indices, ascending, of the radios that lay within
+// cutoff·(1+nbrSkinFrac) of the transmitter when it was built. A row
+// rebuild walks it instead of every radio on the channel.
+//
+// Under a motion bound (Channel.SetMaxSpeed) the distance between two
+// radios changes by at most 2·maxSpeed·(now−builtAt) — both endpoints
+// move — so while that stays within the skin, every radio now inside
+// the cutoff is still on the list. The list is only consulted when the
+// row's entries are stale, which under a position-epoch source means
+// the epoch moved on; so without a bound (maxSpeed < 0) it is rebuilt
+// at every new epoch, and with maxSpeed == 0 it is built once.
+type nbrList struct {
+	idx       []int32
+	builtAt   sim.Time
+	attachGen uint64 // c.attachGen at build; 0 = never built
+}
+
+// nbrSkinFrac sets the neighbour-list skin as a fraction of the row's
+// delivery cutoff. A wider skin rebuilds less often but walks more
+// candidates per row rebuild; at 0.1 a max-power list (cutoff ~550 m)
+// stays valid for ~9 simulated seconds at 3 m/s.
+const nbrSkinFrac = 0.1
+
 // Channel is a shared broadcast medium: every transmission deposits
 // power at every attached radio according to the propagation model, with
 // speed-of-light delay. PCMAC's separate power-control channel is simply
@@ -77,10 +101,9 @@ type linkRow struct {
 // attachment; with no epoch source the channel assumes positions may
 // change at any time and rebuilds the transmitter's row per frame, which
 // preserves exact semantics at the pre-cache cost. Deterministic row
-// builds are served by a spatial cell grid over the attached radios
-// (grid.go), enumerating only the cells overlapping the delivery-cutoff
-// disk — O(neighbors) instead of O(radios) per rebuild — with cell
-// assignments kept current across bounded motion via SetMaxSpeed.
+// builds walk the row's neighbour list (nbrList) — O(neighbors) instead
+// of O(radios) per rebuild — which survives bounded motion via
+// SetMaxSpeed.
 type Channel struct {
 	sched *sim.Scheduler
 	model Propagation
@@ -108,13 +131,9 @@ type Channel struct {
 	// cacheOff selects the uncached reference walk (SetLinkCache).
 	cacheOff bool
 
-	// grid is the spatial index over attached radios (see grid.go).
 	// maxSpeed is the SetMaxSpeed motion bound in m/s (< 0: unknown,
-	// reassign conservatively). candIdx is the reusable
-	// candidate-enumeration buffer.
-	grid     cellGrid
+	// neighbour lists are rebuilt with every row).
 	maxSpeed float64
-	candIdx  []int32
 
 	// scratch is the row reused for epoch-less (assume-mobile) builds.
 	scratch linkRow
@@ -168,11 +187,20 @@ func (c *Channel) Scheduler() *sim.Scheduler { return c.sched }
 // instant may have moved every node.
 func (c *Channel) SetPositionEpoch(fn func() uint64) { c.posEpoch = fn }
 
+// SetMaxSpeed promises that no attached radio's position changes faster
+// than mps metres per second of simulated time (0 = nobody ever moves).
+// Neighbour lists use the bound to stay valid across bounded motion
+// instead of being rebuilt with every row; scenarios pass their waypoint
+// SpeedMax (or 0 for pinned topologies). Without the promise every row
+// rebuild rescans all radios, which preserves exact semantics at O(N)
+// per rebuild.
+func (c *Channel) SetMaxSpeed(mps float64) { c.maxSpeed = mps }
+
 // SetLinkCache enables or disables the link-row cache. Disabling selects
 // transmitUncached, the per-frame walk of every radio through the full
-// propagation model — the reference that both the cache and the spatial
-// index are tested against. Results are identical either way; only
-// speed differs.
+// propagation model — the reference that both the cache and the
+// neighbour lists are tested against. Results are identical either way;
+// only speed differs.
 func (c *Channel) SetLinkCache(enabled bool) { c.cacheOff = !enabled }
 
 // AttachRadio creates a radio on this channel at the position reported
@@ -182,7 +210,6 @@ func (c *Channel) AttachRadio(id int, pos func() geom.Point, h Handler) *Radio {
 	r := &Radio{
 		ch:      c,
 		id:      id,
-		idx:     len(c.radios),
 		pos:     pos,
 		h:       h,
 		current: -1,
@@ -196,8 +223,9 @@ func (c *Channel) AttachRadio(id int, pos func() geom.Point, h Handler) *Radio {
 func (c *Channel) Radios() []*Radio { return c.radios }
 
 // buildRow fills row with the link entries for radio r transmitting at
-// powerW, using positions sampled now.
-func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
+// powerW, using positions sampled now. nl is the neighbour list of r's
+// own row at powerW, even when row is the shared scratch row.
+func (c *Channel) buildRow(row *linkRow, nl *nbrList, r *Radio, powerW float64) {
 	row.entries = row.entries[:0]
 	row.attachGen = c.attachGen
 	src := r.pos()
@@ -220,19 +248,16 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 		return
 	}
 	// Deterministic model: prune to radios that can sense the frame.
-	// The spatial index restricts the walk to the cells overlapping the
-	// cutoff disk, in attach order, and a squared-distance check skips
-	// the propagation evaluation for far candidates. The tiny relative
+	// The neighbour list restricts the walk to a superset of the cutoff
+	// disk, in attach order, and a squared-distance check skips the
+	// propagation evaluation for far candidates. The tiny relative
 	// slack keeps radios at the exact boundary inside the exact
 	// pr-vs-floor check below, so pruning never changes which radios
 	// deliver.
 	cutoff := c.ranger.RangeForTxPower(powerW, c.deliverFloorW) * (1 + 1e-9)
 	cutoff2 := cutoff * cutoff
-	for _, k := range c.gridCandidates(src, cutoff) {
+	for _, k := range c.neighbors(nl, r, src, cutoff) {
 		o := c.radios[k]
-		if o == r {
-			continue
-		}
 		p := o.pos()
 		if src.Dist2(p) > cutoff2 {
 			continue
@@ -250,18 +275,44 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 	}
 }
 
+// neighbors returns nl's attach indices, rebuilding the list from src
+// (r's current position) by one attach-order scan of every radio unless
+// the motion bound proves it still covers the cutoff disk.
+func (c *Channel) neighbors(nl *nbrList, r *Radio, src geom.Point, cutoff float64) []int32 {
+	now := c.sched.Now()
+	skin := cutoff * nbrSkinFrac
+	if nl.attachGen == c.attachGen && c.maxSpeed >= 0 &&
+		2*c.maxSpeed*now.Sub(nl.builtAt).Seconds() <= skin {
+		return nl.idx
+	}
+	reach := cutoff + skin
+	reach2 := reach * reach
+	nl.idx = nl.idx[:0]
+	for i, o := range c.radios {
+		if o != r && src.Dist2(o.pos()) <= reach2 {
+			nl.idx = append(nl.idx, int32(i))
+		}
+	}
+	nl.builtAt = now
+	nl.attachGen = c.attachGen
+	return nl.idx
+}
+
 // linkRowFor returns the (possibly cached) link row for r at powerW.
 func (c *Channel) linkRowFor(r *Radio, powerW float64) *linkRow {
+	pr, cached := r.rowFor(powerW)
 	if c.posEpoch == nil {
-		// Unknown mobility: rebuild into the shared scratch row. Same
-		// work as the pre-cache walk, reusing one backing array.
-		c.buildRow(&c.scratch, r, powerW)
+		// Unknown mobility: rebuild into the shared scratch row, reusing
+		// one backing array. The neighbour list still lives on r's own
+		// row: a list left on the scratch row would serve the next
+		// transmitter.
+		c.buildRow(&c.scratch, &pr.nbrs, r, powerW)
 		return &c.scratch
 	}
 	epoch := c.posEpoch()
-	row, cached := r.rowFor(powerW)
+	row := &pr.linkRow
 	if !cached || row.epoch != epoch || row.attachGen != c.attachGen {
-		c.buildRow(row, r, powerW)
+		c.buildRow(row, &pr.nbrs, r, powerW)
 		row.epoch = epoch
 	}
 	return row
@@ -307,9 +358,10 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 }
 
 // transmitUncached is the reference delivery path: every attached radio,
-// the full propagation model, per frame — no link row, no spatial index,
-// no cutoff. It must stay behaviourally identical to the cached path;
-// the scenario reference test diffs whole simulations between the two.
+// the full propagation model, per frame — no link row, no neighbour
+// list, no cutoff. It must stay behaviourally identical to the cached
+// path; the scenario reference test diffs whole simulations between the
+// two.
 func (c *Channel) transmitUncached(tx *Transmission) {
 	for _, o := range c.radios {
 		if o == tx.From {

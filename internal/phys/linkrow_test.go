@@ -80,3 +80,39 @@ func TestLinkRowEpochInvalidation(t *testing.T) {
 		t.Fatalf("after move: %d begins, want still 1", hb.begins)
 	}
 }
+
+// TestRowForSortedInsert pins the sorted-slice power-level cache: rows
+// inserted in arbitrary order end up sorted, repeat lookups hit, and
+// each level keeps its own row.
+func TestRowForSortedInsert(t *testing.T) {
+	sched := sim.NewScheduler()
+	par := DefaultParams()
+	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	r := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, benchHandler{})
+
+	order := []float64{30.53e-3, 1e-3, 281.8e-3, 3.45e-3, 90.8e-3}
+	for i, p := range order {
+		row, cached := r.rowFor(p)
+		if cached {
+			t.Fatalf("level %g reported cached on first lookup", p)
+		}
+		row.epoch = uint64(i + 1) // tag to verify identity on re-lookup
+	}
+	for i, p := range order {
+		row, cached := r.rowFor(p)
+		if !cached {
+			t.Fatalf("level %g missed after insert", p)
+		}
+		if row.epoch != uint64(i+1) {
+			t.Fatalf("level %g returned another level's row (tag %d, want %d)", p, row.epoch, i+1)
+		}
+	}
+	for i := 1; i < len(r.rows); i++ {
+		if r.rows[i-1].powerW >= r.rows[i].powerW {
+			t.Fatalf("rows not sorted by power: %v vs %v", r.rows[i-1].powerW, r.rows[i].powerW)
+		}
+	}
+	if len(r.rows) != len(order) {
+		t.Fatalf("expected %d cached rows, have %d", len(order), len(r.rows))
+	}
+}

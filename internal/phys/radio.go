@@ -70,7 +70,6 @@ type arrival struct {
 type Radio struct {
 	ch  *Channel
 	id  int
-	idx int // position in Channel.radios (attach order; grid sort key)
 	pos func() geom.Point
 	h   Handler
 
@@ -110,33 +109,35 @@ type Radio struct {
 }
 
 // powerRow pairs one discrete transmit power level with its cached
-// link row.
+// link row and that row's neighbour list. The list lives here, not in
+// linkRow, so the channel's shared scratch row never carries one.
 type powerRow struct {
 	powerW float64
-	row    linkRow
+	linkRow
+	nbrs nbrList
 }
 
-// rowFor returns the cached link row for a power level, inserting an
-// empty one in sorted position on first use. cached reports whether
-// the row existed (its validity stamps are meaningful). The returned
-// pointer is valid until the next insertion; callers use it within one
-// transmit. MAC power dials have ~10 discrete levels, so the scan is a
-// handful of compares on the per-frame hot path.
-func (r *Radio) rowFor(powerW float64) (row *linkRow, cached bool) {
+// rowFor returns the cached row for a power level, inserting an empty
+// one in sorted position on first use. cached reports whether the row
+// existed (its validity stamps are meaningful). The returned pointer is
+// valid until the next insertion; callers use it within one transmit.
+// MAC power dials have ~10 discrete levels, so the scan is a handful of
+// compares on the per-frame hot path.
+func (r *Radio) rowFor(powerW float64) (row *powerRow, cached bool) {
 	rows := r.rows
 	for i := range rows {
 		if rows[i].powerW == powerW {
-			return &rows[i].row, true
+			return &rows[i], true
 		}
 		if rows[i].powerW > powerW {
 			r.rows = append(r.rows, powerRow{})
 			copy(r.rows[i+1:], r.rows[i:])
 			r.rows[i] = powerRow{powerW: powerW}
-			return &r.rows[i].row, false
+			return &r.rows[i], false
 		}
 	}
 	r.rows = append(r.rows, powerRow{powerW: powerW})
-	return &r.rows[len(r.rows)-1].row, false
+	return &r.rows[len(r.rows)-1], false
 }
 
 // ID returns the identifier given at attach time.

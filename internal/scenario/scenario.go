@@ -454,9 +454,9 @@ func Build(o Options) (*Network, error) {
 	// Let the channels cache link tables between position changes. One
 	// epoch counter serves both channels: they share the same node set
 	// and therefore the same geometry. The motion bound (waypoint
-	// SpeedMax, or 0 for pinned placements) lets the spatial index keep
-	// cell assignments across bounded drift instead of reassigning at
-	// every new position epoch.
+	// SpeedMax, or 0 for pinned placements) lets each link row keep its
+	// neighbour list across bounded drift instead of rescanning every
+	// radio at every new position epoch.
 	maxSpeed := o.SpeedMax
 	if len(o.Static) > 0 {
 		maxSpeed = 0
